@@ -4,12 +4,13 @@ Usage, from the repository root::
 
     python3 perfbench/baseline.py --runs 10 --out perfbench/baseline.json
 
-For each workload it makes ``--runs`` untraced runs, each with another
-seed, and reports every end-to-end metric's median, quartiles
-(``statistics.quantiles(values, n=4)``) and spread, the distance between
-the quartiles as a share of the median.  Unless ``--no-trace`` is given it
-then makes one traced run per workload and records its per-layer table.
-Runs are made one after another, each in a fresh process.
+For each workload in ``BENCHMARK.json`` it makes ``--runs`` untraced runs
+of ``run_seconds`` each, with seeds 1 to ``--runs``, and reports every
+end-to-end metric's median, quartiles (``statistics.quantiles(values,
+n=4)``) and spread, the distance between the quartiles as a share of the
+median.  A spread above a third of the metric's bound is flagged WIDE.  It
+then makes one traced run per workload, seed 1, and records its per-layer
+table.  Runs are made one after another, each in a fresh process.
 """
 
 from __future__ import annotations
@@ -52,19 +53,16 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in spec["workloads"]])
-    parser.add_argument("--no-trace", action="store_true")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
+    seconds = spec["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    summary: dict = {"seconds": args.seconds, "runs": args.runs, "workloads": {}}
-    for workload in args.workloads:
+    summary: dict = {"seconds": seconds, "runs": args.runs, "workloads": {}}
+    for workload in (w["name"] for w in spec["workloads"]):
         results = []
-        for seed in range(args.first_seed, args.first_seed + args.runs):
-            result, record = bench(workload, seed, args.seconds, 0)
+        for seed in range(1, args.runs + 1):
+            result, record = bench(workload, seed, seconds, 0)
             results.append(result)
             print(workload, seed, json.dumps(
                 {k: round(v["value"], 6) for k, v in result["metrics"].items()}), flush=True)
@@ -82,12 +80,11 @@ def main() -> int:
                 "final_federated_accuracy")},
         }
         for name, stats in entry["end_to_end"].items():
-            flag = "" if name == "setup_s" or stats["spread"] < bounds[name] / 3 else "  WIDE"
+            flag = "" if stats["spread"] < bounds[name] / 3 else "  WIDE"
             print(f"{workload:14s} {name:22s} median {stats['median']:.6g} "
                   f"spread {stats['spread']:.4f} (bound {bounds[name]}){flag}", flush=True)
-        if not args.no_trace:
-            traced, _ = bench(workload, args.first_seed, args.seconds, 1)
-            entry["per_layer"] = {k: v["value"] for k, v in traced["metrics"].items()}
+        traced, _ = bench(workload, 1, seconds, 1)
+        entry["per_layer"] = {k: v["value"] for k, v in traced["metrics"].items()}
         summary["workloads"][workload] = entry
     args.out.write_text(json.dumps(summary, indent=2) + "\n")
     return 0

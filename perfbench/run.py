@@ -53,9 +53,13 @@ from workloads import WORKLOADS, config_hash, make_config
 ROOT = Path(__file__).resolve().parent.parent
 OUT_ROOT = ROOT / ".bench_out"
 
-# Set-up is a few milliseconds, so each run also times it this many times
-# on its own and reports the median over all set-ups.
-SETUP_REPEATS = 40
+# Set-up takes a few milliseconds and the host's speed drifts within a run,
+# so after each passing timed simulation the run also times this many
+# set-ups on their own, and setup_s is the median over these and the
+# simulations' own set-ups.  Spread through the run like this, extra samples
+# narrowed setup_s's spread between seeds; taken all before the loop, they
+# widened it.
+SETUPS_PER_SIMULATION = 8
 
 BLAS_ENV = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -179,17 +183,12 @@ def time_setup(fedsim, raw: dict) -> float:
 
 
 def run_set(fedsim, raw: dict, seconds: float, trace: bool, work_dir: Path):
-    """The reference run, the set-up samples, then the timed loop."""
+    """The reference run, then the timed loop with its set-up samples."""
     twin = dict(raw, use_security=False)
     reference = simulate(fedsim, twin, work_dir / "reference", None, traced=False)
     runs = [reference]
     ref_digest = reference.digest if not reference.problems else "(reference failed)"
     setups = []
-    for _ in range(SETUP_REPEATS):
-        try:
-            setups.append(time_setup(fedsim, raw))
-        except Exception:  # the simulations below fail the same way and are counted
-            break
     start = time.perf_counter()
     longest = 0.0
     while True:
@@ -197,7 +196,10 @@ def run_set(fedsim, raw: dict, seconds: float, trace: bool, work_dir: Path):
         traced_turn = trace and untraced > len(runs) - 1 - untraced
         gc.collect()
         began = time.perf_counter()
-        runs.append(simulate(fedsim, raw, work_dir / "run", ref_digest, traced_turn))
+        sim = simulate(fedsim, raw, work_dir / "run", ref_digest, traced_turn)
+        runs.append(sim)
+        if not sim.problems:
+            setups.extend(time_setup(fedsim, raw) for _ in range(SETUPS_PER_SIMULATION))
         longest = max(longest, time.perf_counter() - began)
         have_both = not trace or len({r.traced for r in runs[1:]}) == 2
         # stop before a simulation that would overrun the measuring time
@@ -207,9 +209,12 @@ def run_set(fedsim, raw: dict, seconds: float, trace: bool, work_dir: Path):
 
 
 def end_to_end(setups: list[float], timed: list[SimRun]) -> dict[str, float]:
-    good = [r for r in timed if not r.problems] or timed
+    """End-to-end metrics over the simulations that passed; {} if none did."""
+    good = [r for r in timed if not r.problems]
+    if not good:
+        return {}
     return {
-        "setup_s": statistics.median(setups + [r.setup_s for r in good if r.run_s] or [0.0]),
+        "setup_s": statistics.median(setups + [r.setup_s for r in good]),
         "round_s.p50": statistics.median([t for r in good for t in r.round_s] or [0.0]),
         "client_rounds_per_s": (
             sum(r.client_rounds for r in good) / sum(r.online_s for r in good)
@@ -221,19 +226,22 @@ def end_to_end(setups: list[float], timed: list[SimRun]) -> dict[str, float]:
 
 
 def per_layer(timed: list[SimRun]) -> dict[str, float]:
-    traced = [r for r in timed if r.traced and r.layers]
-    plain = [r for r in timed if not r.traced and r.run_s]
-    if not traced:
+    """Per-layer metrics over the simulations that passed.
+
+    {} unless at least one traced and one untraced simulation passed.
+    """
+    traced = [r for r in timed if r.traced and not r.problems]
+    plain = [r for r in timed if not r.traced and not r.problems]
+    if not traced or not plain:
         return {}
     out = {
         name: statistics.median(r.layers[name] for r in traced)
         for name in traced[0].layers
     }
-    if plain:
-        out["trace.overhead_s"] = (
-            statistics.median(r.run_s for r in traced)
-            - statistics.median(r.run_s for r in plain)
-        )
+    out["trace.overhead_s"] = (
+        statistics.median(r.run_s for r in traced)
+        - statistics.median(r.run_s for r in plain)
+    )
     return out
 
 
@@ -308,14 +316,17 @@ def run_benchmark(fedsim, spec: dict, workload: str, seed: int, seconds: float,
 
     wanted = spec["per_layer"] if trace else spec["end_to_end"]
     measured = per_layer(timed) if trace else end_to_end(setups, timed)
+    # With no passing simulation nothing is measured; the result line still
+    # reports the failures.  A name the benchmark never produces is its own bug.
     missing = [m["name"] for m in wanted if m["name"] not in measured]
-    if missing:
+    if measured and missing:
         raise BenchmarkError(f"metrics not measured: {missing}")
-    metrics = {m["name"]: {"value": measured[m["name"]], "unit": m["unit"]} for m in wanted}
+    metrics = {m["name"]: {"value": measured[m["name"]], "unit": m["unit"]}
+               for m in wanted if measured}
 
     untraced = [r for r in timed if not r.traced and not r.problems]
-    for m in wanted:
-        print(f"{workload:14s} {m['name']:45s} {measured[m['name']]:.6g} {m['unit']}")
+    for name, metric in metrics.items():
+        print(f"{workload:14s} {name:45s} {metric['value']:.6g} {metric['unit']}")
     if not trace:
         # Printed but not gated: the offline phase exists only with
         # use_security, and error_rate is the result line's failed/attempted.

@@ -41,6 +41,11 @@ def test_every_named_metric_is_emitted(workload, trace):
     assert result["attempted"] == record["simulations"] >= 2
     if not trace:
         assert all(v["value"] > 0 for v in result["metrics"].values())
+    else:
+        # two top-level client calls per client-round on either topology;
+        # complete_peer_round's own receive_weights is not counted again
+        client_rounds = WORKLOADS[workload].clients * 2
+        assert result["metrics"]["engine.client_call.calls"]["value"] == 2 * client_rounds
     if workload == "secure_dp":
         # the reference twin really ran without security, and still matched
         assert record["messages"]["offline_client_client"] == 90
@@ -61,3 +66,17 @@ def test_tampered_report_digest_is_flagged(tmp_path):
     problems = run.check_outputs(tmp_path, sim.digest, classes)
     assert len(problems) == 1 and "digest" in problems[0]
 
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["end_to_end", "per_layer"])
+def test_failing_program_still_prints_a_result(monkeypatch, trace):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(FEDSIM, "run_simulation", broken)
+    result, record = run.run_benchmark(
+        FEDSIM, SPEC, "plain_train", seed=5, seconds=0, trace=trace, rounds=2
+    )
+    assert result["correct"] is False
+    assert result["failed"] == result["attempted"] == record["simulations"] >= 2
+    assert result["metrics"] == {}

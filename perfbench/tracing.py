@@ -14,7 +14,10 @@ CPU time of the thread that ran the span, and wait time is wall time minus
 busy time.  A span's self time is its busy time minus the busy time of its
 child spans on the same thread.  Pool threads start with an empty span
 stack, so a span opened there takes the open ``run_round`` span as its
-parent.
+parent.  Client calls are counted at the top level only:
+``complete_peer_round`` ends by calling ``receive_weights``, and that inner
+call opens no second ``engine.client_call`` span, so its work is counted
+once.
 
 Spans stay in memory; the caller writes them out when the run ends.
 """
@@ -126,7 +129,13 @@ class Tracer:
         anchor: bool = False,
         sample_threads: bool = False,
         keep_self: bool = False,
+        outermost: bool = False,
     ) -> Callable:
+        """``fn`` wrapped to record a span named ``name``.
+
+        With ``outermost``, a call made while this thread's innermost open
+        span already has ``name`` records no span of its own.
+        """
         tracer = self
 
         @functools.wraps(fn)
@@ -134,12 +143,14 @@ class Tracer:
             stack = getattr(tracer._local, "stack", None)
             if stack is None:
                 stack = tracer._local.stack = []
-            parent = stack[-1] if stack else tracer._anchor
+            if outermost and stack and stack[-1][1] == name:
+                return fn(*args, **kwargs)
+            parent = stack[-1][0] if stack else tracer._anchor
             span_id = next(tracer._ids)
             if keep_self:
                 tracer.simulation = args[0]
             threads = threading.active_count() - 1 if sample_threads else 0
-            stack.append(span_id)
+            stack.append((span_id, name))
             if anchor:
                 outer, tracer._anchor = tracer._anchor, span_id
             c0 = time.thread_time()
@@ -179,7 +190,8 @@ class Tracer:
             patch(server, "aggregate", self._wrap("engine.ServerAgent.aggregate", server.aggregate))
             for method in CLIENT_CALLS:
                 patch(client, method, self._wrap(
-                    "engine.client_call", getattr(client, method), sample_threads=True))
+                    "engine.client_call", getattr(client, method),
+                    sample_threads=True, outermost=True))
             wrappers = {}
             for layer, names in FUNCTIONS.items():
                 module = importlib.import_module(f"fedsim.{layer}")
