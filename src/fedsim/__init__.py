@@ -35,9 +35,10 @@ from .engine import (
     Simulation,
     SimulationError,
     advance_time,
+    round_sensitivity,
     run_simulation,
 )
-from .exact import exact_mean, to_exact, to_float
+from .exact import ExactMatrix, exact_mean, to_exact, to_float
 from .masking import (
     CommonKey,
     DhKeyPair,
@@ -48,6 +49,7 @@ from .masking import (
     mask_tensor,
 )
 from .models import (
+    ClientRound,
     Dataset,
     EvalReport,
     TrainConfig,

@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from .exact import to_exact
+from .exact import ExactMatrix, to_exact
 
 Mechanism = Literal["laplace", "gaussian", "distributed_laplace"]
 Placement = Literal["local", "global_server", "distributed"]
@@ -145,20 +145,20 @@ def gamma_difference_share(
 
 
 def perturb_weights(
-    w: np.ndarray,
+    w: np.ndarray | ExactMatrix,
     spec: DpSpec,
     sens: SensitivityParams,
     rng: np.random.Generator,
     iteration: int = 0,
     owner: str = "",
-) -> tuple[np.ndarray, NoiseRecord]:
+) -> tuple[ExactMatrix, NoiseRecord]:
     """Add mechanism noise to a weight matrix, returning the exact record.
 
-    The perturbed matrix lives in the exact-rational domain so that
-    ``perturbed - record.values`` recovers ``w`` bit for bit.  ``w`` itself
-    is not modified.
+    ``w`` may be a float array or an exact matrix.  The perturbed matrix
+    is exact, so ``perturbed - record.values`` recovers ``w`` bit for bit.
+    ``w`` itself is not modified.
     """
-    w = np.asarray(w)
+    w = to_exact(w)
     delta_f = logreg_sensitivity(sens)
     if spec.mechanism == "laplace":
         lam = delta_f / spec.epsilon
@@ -169,5 +169,5 @@ def perturb_weights(
     else:
         noise = gaussian_sample(delta_f, spec.epsilon, spec.delta, rng, size=w.shape)
     noise = np.asarray(noise, dtype=np.float64)
-    perturbed = to_exact(w) + to_exact(noise)
+    perturbed = w + to_exact(noise)
     return perturbed, NoiseRecord(values=noise, iteration=iteration, owner=owner)

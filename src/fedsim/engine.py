@@ -8,7 +8,8 @@ compute durations, never from the wall clock, and each iteration's clock
 restarts at zero.  Client computations within an iteration may run
 concurrently; results are independent of interleaving because each client
 owns its state and random streams, and aggregation happens over exact
-rationals in canonical name order.
+matrices (integer numerators over a shared denominator, see ``exact``) in
+canonical name order.
 
 Message bodies use a closed set of kinds:
 
@@ -34,9 +35,10 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .dp import DpSpec, NoiseRecord, SensitivityParams, perturb_weights
-from .exact import exact_mean, to_exact, to_float
+from .exact import exact_mean, to_float
 from .masking import MaskSchedule, apply_masks, dh_common_key, dh_generate
 from .models import (
+    ClientRound,
     Dataset,
     EvalReport,
     TrainConfig,
@@ -146,6 +148,28 @@ def advance_time(
     return max(env.sim_time for env in incoming) + compute_duration + outgoing_latency
 
 
+def round_sensitivity(
+    size_schedule: Mapping[str, list[int]],
+    active: list[str],
+    iteration: int,
+    alpha: float,
+    default_k: int | None = None,
+) -> SensitivityParams:
+    """Sensitivity parameters in force for one iteration's active set.
+
+    ``n`` is the number of active clients and ``k`` the smallest dataset
+    size among them this iteration (Chaudhuri, Monteleoni & Sarwate 2011).
+    Clients missing from ``size_schedule`` are skipped; when none is
+    present, ``k`` falls back to ``default_k``.
+    """
+    sizes = [size_schedule[c][iteration - 1] for c in active if c in size_schedule]
+    if not sizes and default_k is None:
+        raise ValueError(f"no dataset sizes known for active set {active}")
+    return SensitivityParams(
+        n=len(active), k=min(sizes) if sizes else default_k, alpha=alpha
+    )
+
+
 class ClientAgent:
     """A training participant: owns data, weights, noise records and keys.
 
@@ -214,7 +238,7 @@ class ClientAgent:
 
         self._clean: dict[int, np.ndarray] = {}
         self._records: dict[int, NoiseRecord] = {}
-        self._cache: tuple[np.ndarray, NoiseRecord] | None = None
+        self._cache: ClientRound | None = None
         self._compute: dict[int, float] = {}
         self._evals: dict[int, EvalReport] = {}
         self._receipts: dict[int, float] = {}
@@ -280,17 +304,6 @@ class ClientAgent:
             return 0.0
         return self.latencies.latency(sender, recipient)
 
-    def _sensitivity(self, iteration: int) -> SensitivityParams:
-        sizes = [
-            self.size_schedule[c][iteration - 1]
-            for c in self.active_view
-            if c in self.size_schedule
-        ]
-        smallest = min(sizes) if sizes else len(self.datasets[iteration - 1])
-        return SensitivityParams(
-            n=len(self.active_view), k=smallest, alpha=self.train_cfg.l2_alpha
-        )
-
     def _client_dp(self) -> DpSpec | None:
         # Server-placed noise is added by the server, not here.
         if self.dp_spec is None or self.dp_spec.placement == "global_server":
@@ -306,27 +319,36 @@ class ClientAgent:
         data = self.datasets[iteration - 1]
         started = time.perf_counter()
         dp = self._client_dp()
-        sens = self._sensitivity(iteration) if dp is not None else None
+        sens = (
+            round_sensitivity(
+                self.size_schedule, self.active_view, iteration,
+                self.train_cfg.l2_alpha, default_k=len(data),
+            )
+            if dp is not None
+            else None
+        )
         if self.algorithm == "incremental":
-            weights, record = client_round_incremental(
+            result = client_round_incremental(
                 self.federated_weights, data, self.train_cfg, dp, sens,
                 self._train_rng, self._noise_rng, iteration, self.name,
             )
         else:
-            weights, record, _ = client_round_retrain(
+            result = client_round_retrain(
                 self.federated_weights, data, self._cache, self.tolerance,
                 self.train_cfg, dp, sens,
                 self._train_rng, self._noise_rng, iteration, self.name,
             )
-            self._cache = (weights, record)
-        self._clean[iteration] = to_float(to_exact(weights) - to_exact(record.values))
-        self._records[iteration] = record
+            self._cache = result
+        self._clean[iteration] = result.clean
+        self._records[iteration] = result.record
         if self.use_security:
             if self.schedule is None:
                 raise ProtocolError(f"{self.name} has no mask schedule")
-            outgoing = apply_masks(weights, self.schedule, self.active_view, iteration)
+            outgoing = apply_masks(
+                result.weights, self.schedule, self.active_view, iteration
+            )
         else:
-            outgoing = weights
+            outgoing = result.weights
         duration = (
             self.compute_override
             if self.compute_override is not None
@@ -359,7 +381,7 @@ class ClientAgent:
                 f"{self.name} got federated weights for iteration {iteration}, "
                 f"expected {self._current_iteration}"
             )
-        fed = np.asarray(env.body["weights"])
+        fed = env.body["weights"]
         record = self._records[iteration]
         if self.subtract_dp_noise:
             fed = subtract_own_noise(fed, record, len(self.active_view))
@@ -581,7 +603,9 @@ class Simulation:
                 latencies=self.latencies,
                 compute_override=config.server_compute_s,
                 global_dp_for=config.global_dp_for,
-                sens_for=self._sens_for,
+                sens_for=lambda iteration, active: round_sensitivity(
+                    size_schedule, active, iteration, config.train.l2_alpha
+                ),
                 noise_seed=config.server_seed,
                 counters=self.counters,
             )
@@ -602,12 +626,6 @@ class Simulation:
                 if len(ds):
                     top = max(top, int(ds.labels.max()))
         return top + 1
-
-    def _sens_for(self, iteration: int, active: list[str]) -> SensitivityParams:
-        smallest = min(self._size_schedule[c][iteration - 1] for c in active)
-        return SensitivityParams(
-            n=len(active), k=smallest, alpha=self.config.train.l2_alpha
-        )
 
     # -- lifecycle ---------------------------------------------------------
 

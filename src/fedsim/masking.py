@@ -5,7 +5,7 @@ iteration each pair derives an identical mask tensor from its key via a
 keyed counter construction (hash of key || iteration || element index), so
 no further client-client communication is ever needed.  One endpoint adds
 the mask, the other subtracts it, and the pair's contribution vanishes
-from any aggregate.  Mask addition happens over exact rationals, which is
+from any aggregate.  Mask addition happens over exact matrices, which is
 what makes the cancellation bit-exact rather than approximate.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import to_exact
+from .exact import ExactMatrix, to_exact
 
 # 2048-bit MODP group 14 from RFC 3526 (safe prime, generator 2), fixed for
 # every simulation so no parameter negotiation is needed.
@@ -121,20 +121,19 @@ def mask_tensor(key: CommonKey, iteration: int, shape: tuple[int, ...]) -> np.nd
 
 
 def apply_masks(
-    w: np.ndarray,
+    w: np.ndarray | ExactMatrix,
     schedule: MaskSchedule,
     active: list[str],
     iteration: int,
-) -> np.ndarray:
+) -> ExactMatrix:
     """Add the owner's signed pairwise masks for the current active set.
 
     The sign convention is +1 toward peers that sort after the owner and
     -1 toward peers that sort before it, so each mask appears exactly once
     with each sign across the active set and cancels from the sum.  Only
-    current pairs contribute; departed clients leave no residue.  Returns
-    an exact-rational matrix.
+    current pairs contribute; departed clients leave no residue.  ``w``
+    may be a float array or an exact matrix; the result is exact.
     """
-    w = np.asarray(w)
     if schedule.owner not in active:
         raise ValueError(f"schedule owner {schedule.owner!r} not in the active set")
     masked = to_exact(w)
@@ -142,7 +141,7 @@ def apply_masks(
         if peer == schedule.owner:
             continue
         key = schedule.key_for(peer)
-        mask = to_exact(mask_tensor(key, iteration, w.shape))
+        mask = to_exact(mask_tensor(key, iteration, masked.shape))
         if schedule.owner < peer:
             masked = masked + mask
         else:

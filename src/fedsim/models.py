@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dp import DpSpec, NoiseRecord, SensitivityParams, perturb_weights
-from .exact import exact_mean, to_exact, to_float
+from .exact import ExactMatrix, exact_mean, to_exact, to_float
 
 
 @dataclass
@@ -177,40 +178,70 @@ def converged(local: np.ndarray, federated: np.ndarray, tolerance: float) -> boo
 
 
 def subtract_own_noise(
-    federated: np.ndarray, record: NoiseRecord, active_count: int
-) -> np.ndarray:
+    federated: np.ndarray | ExactMatrix, record: NoiseRecord, active_count: int
+) -> ExactMatrix:
     """Remove an agent's own noise share from an averaged model.
 
-    Returns ``federated - record.values / active_count`` over exact
-    rationals, so a single client recovers its clean weights bit for bit.
+    Returns ``federated - record.values / active_count`` as an exact
+    matrix, so a single client recovers its clean weights bit for bit.
     """
     if active_count < 1:
         raise ValueError(f"active_count must be >= 1, got {active_count}")
-    federated = np.asarray(federated)
+    federated = to_exact(federated)
     if federated.shape != record.values.shape:
         raise ValueError(
             f"shape mismatch: federated {federated.shape} vs "
             f"noise record {record.values.shape}"
         )
-    return to_exact(federated) - to_exact(record.values) / active_count
+    return federated - to_exact(record.values) / active_count
 
 
-def evaluate(w: np.ndarray, test: Dataset) -> float:
+def evaluate(w: np.ndarray | ExactMatrix, test: Dataset) -> float:
     """Fraction of test rows whose argmax class score matches the label.
 
     Ties break toward the lowest class index.
     """
     if len(test) == 0:
         raise ValueError("cannot evaluate on an empty test set")
-    w = to_float(np.asarray(w))
+    w = to_float(w)
     _check_shapes(test, w)
     scores = _augment(test.features) @ w.T
     predictions = np.argmax(scores, axis=1)
     return float(np.mean(predictions == test.labels))
 
 
-def _zero_record(w: np.ndarray, iteration: int, owner: str) -> NoiseRecord:
-    return NoiseRecord(np.zeros_like(np.asarray(w, dtype=np.float64)), iteration, owner)
+class ClientRound(NamedTuple):
+    """What one client round produces.
+
+    ``weights`` is what the client sends: the trained weights plus its
+    noise, exact when noise was added.  ``record`` holds that noise,
+    ``clean`` the float weights before it, and ``sens`` the sensitivity
+    parameters the noise was calibrated for.  ``trained`` is False only
+    when the retrain cache was reused.
+    """
+
+    weights: np.ndarray | ExactMatrix
+    record: NoiseRecord
+    trained: bool
+    clean: np.ndarray
+    sens: SensitivityParams | None
+
+
+def _finish_round(
+    trained: np.ndarray,
+    dp: DpSpec | None,
+    sens: SensitivityParams | None,
+    rng: np.random.Generator,
+    iteration: int,
+    owner: str,
+) -> ClientRound:
+    if dp is None:
+        zeros = NoiseRecord(np.zeros_like(trained), iteration, owner)
+        return ClientRound(trained, zeros, True, trained, sens)
+    if sens is None:
+        raise ValueError("sensitivity parameters are required when dp is enabled")
+    perturbed, record = perturb_weights(trained, dp, sens, rng, iteration, owner)
+    return ClientRound(perturbed, record, True, trained, sens)
 
 
 def client_round_incremental(
@@ -223,19 +254,15 @@ def client_round_incremental(
     noise_rng: np.random.Generator | None = None,
     iteration: int = 0,
     owner: str = "",
-) -> tuple[np.ndarray, NoiseRecord]:
+) -> ClientRound:
     """One client round of the fresh-data algorithm.
 
     Trains from the current federated weights on this iteration's new data
     only, then perturbs the result per ``dp`` (no-op when ``dp`` is None,
-    in which case the plain trained weights are returned).
+    in which case the plain trained weights are sent).
     """
     trained = sgd_train(fresh_data, server_w, cfg, rng)
-    if dp is None:
-        return trained, _zero_record(trained, iteration, owner)
-    if sens is None:
-        raise ValueError("sensitivity parameters are required when dp is enabled")
-    return perturb_weights(
+    return _finish_round(
         trained, dp, sens, noise_rng if noise_rng is not None else rng, iteration, owner
     )
 
@@ -243,7 +270,7 @@ def client_round_incremental(
 def client_round_retrain(
     server_w: np.ndarray,
     cumulative_data: Dataset,
-    cached: tuple[np.ndarray, NoiseRecord] | None,
+    cached: ClientRound | None,
     tolerance: float,
     cfg: TrainConfig,
     dp: DpSpec | None,
@@ -252,29 +279,26 @@ def client_round_retrain(
     noise_rng: np.random.Generator | None = None,
     iteration: int = 0,
     owner: str = "",
-) -> tuple[np.ndarray, NoiseRecord, bool]:
+) -> ClientRound:
     """One client round of the cumulative-retrain algorithm.
 
     Retrains from scratch (zero init, ignoring ``server_w``) on the entire
     local dataset unless the federated weights already sit within
-    ``tolerance`` of the cached noisy weights, in which case the cached
-    pair is returned unchanged.
+    ``tolerance`` of the cached noisy weights and the cached noise was
+    calibrated for the same ``sens``, in which case the cached round is
+    returned with ``trained`` False.  Noise drawn for another active set
+    is never reused: it would mis-calibrate this round's aggregate.
     """
     server_w = np.asarray(server_w, dtype=np.float64)
     if cached is not None:
-        cached_w = to_float(cached[0])
+        cached_w = to_float(cached.weights)
         if cached_w.shape != server_w.shape:
             raise ValueError(
                 f"shape mismatch: cached {cached_w.shape} vs server {server_w.shape}"
             )
-        if np.max(np.abs(server_w - cached_w)) <= tolerance:
-            return cached[0], cached[1], False
+        if cached.sens == sens and np.max(np.abs(server_w - cached_w)) <= tolerance:
+            return cached._replace(trained=False)
     trained = sgd_train(cumulative_data, np.zeros_like(server_w), cfg, rng)
-    if dp is None:
-        return trained, _zero_record(trained, iteration, owner), True
-    if sens is None:
-        raise ValueError("sensitivity parameters are required when dp is enabled")
-    perturbed, record = perturb_weights(
+    return _finish_round(
         trained, dp, sens, noise_rng if noise_rng is not None else rng, iteration, owner
     )
-    return perturbed, record, True

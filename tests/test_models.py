@@ -271,20 +271,25 @@ class TestClientRoundIncremental:
     def test_no_noise_path_equals_sgd_output(self):
         w0 = zero_weights(2, 2)
         trained = sgd_train(self.data, w0, self.cfg, np.random.default_rng(33))
-        out, record = client_round_incremental(
+        result = client_round_incremental(
             w0, self.data, self.cfg, None, None, np.random.default_rng(33)
         )
-        assert np.array_equal(out, trained)
-        assert np.all(record.values == 0)
+        assert np.array_equal(result.weights, trained)
+        assert np.array_equal(result.clean, trained)
+        assert np.all(result.record.values == 0)
 
     def test_record_matches_perturbation_exactly(self):
         spec = DpSpec("distributed_laplace", epsilon=1.0, placement="distributed")
-        out, record = client_round_incremental(
+        result = client_round_incremental(
             zero_weights(2, 2), self.data, self.cfg, spec, self.sens,
             np.random.default_rng(34), np.random.default_rng(35),
         )
         trained = sgd_train(self.data, zero_weights(2, 2), self.cfg, np.random.default_rng(34))
-        assert np.array_equal(to_float(out - to_exact(record.values)), trained)
+        assert np.array_equal(
+            to_float(result.weights - to_exact(result.record.values)), trained
+        )
+        assert np.array_equal(result.clean, trained)
+        assert result.sens == self.sens
 
 
 class TestClientRoundRetrain:
@@ -297,48 +302,71 @@ class TestClientRoundRetrain:
         return Dataset(self.full.features[:rows], self.full.labels[:rows])
 
     def test_first_round_always_retrains(self):
-        out, record, retrained = client_round_retrain(
+        result = client_round_retrain(
             zero_weights(2, 2), self._subset(40), None, 1e-6, self.cfg,
             None, None, np.random.default_rng(1),
         )
-        assert retrained
+        assert result.trained
 
     def test_matching_cache_is_returned_unchanged(self):
-        w, record, _ = client_round_retrain(
+        cached = client_round_retrain(
             zero_weights(2, 2), self._subset(40), None, 1e-6, self.cfg,
             None, None, np.random.default_rng(2),
         )
-        out, out_record, retrained = client_round_retrain(
-            to_float(w), self._subset(40), (w, record), 1e-6, self.cfg,
+        out = client_round_retrain(
+            to_float(cached.weights), self._subset(40), cached, 1e-6, self.cfg,
             None, None, np.random.default_rng(3),
         )
-        assert not retrained
-        assert out is w
-        assert out_record is record
+        assert not out.trained
+        assert out.weights is cached.weights
+        assert out.record is cached.record
+        assert out.clean is cached.clean
 
     def test_distant_server_weights_force_retrain(self):
-        w, record, _ = client_round_retrain(
+        cached = client_round_retrain(
             zero_weights(2, 2), self._subset(40), None, 1e-6, self.cfg,
             None, None, np.random.default_rng(4),
         )
-        far = to_float(w) + 1.0
-        _, _, retrained = client_round_retrain(
-            far, self._subset(40), (w, record), 1e-6, self.cfg,
+        far = to_float(cached.weights) + 1.0
+        out = client_round_retrain(
+            far, self._subset(40), cached, 1e-6, self.cfg,
             None, None, np.random.default_rng(5),
         )
-        assert retrained
+        assert out.trained
+
+    def test_noise_drawn_for_another_active_set_forces_retrain(self):
+        # distributed Laplace shares drawn for n=3 under-noise a round with
+        # n=2, so a cache hit after a dropout must not reuse them
+        spec = DpSpec("distributed_laplace", epsilon=1.0, placement="distributed")
+        cached = client_round_retrain(
+            zero_weights(2, 2), self._subset(40), None, 1e-6, self.cfg,
+            spec, SensitivityParams(3, 40, 0.01), np.random.default_rng(7),
+        )
+        server_w = to_float(cached.weights)
+        same = client_round_retrain(
+            server_w, self._subset(40), cached, 1e-6, self.cfg,
+            spec, SensitivityParams(3, 40, 0.01), np.random.default_rng(8),
+        )
+        assert not same.trained
+        after_dropout = client_round_retrain(
+            server_w, self._subset(40), cached, 1e-6, self.cfg,
+            spec, SensitivityParams(2, 40, 0.01), np.random.default_rng(8),
+        )
+        assert after_dropout.trained
+        assert after_dropout.sens == SensitivityParams(2, 40, 0.01)
+        assert after_dropout.record is not cached.record
 
     def test_retrain_ignores_server_weights_as_initializer(self):
         # retraining starts from zeros regardless of the received weights
-        from_far, _, _ = client_round_retrain(
+        from_far = client_round_retrain(
             np.full((2, 3), 50.0), self._subset(40), None, 1e-6, self.cfg,
             None, None, np.random.default_rng(6),
         )
-        from_zero, _, _ = client_round_retrain(
+        from_zero = client_round_retrain(
             zero_weights(2, 2), self._subset(40), None, 1e-6, self.cfg,
             None, None, np.random.default_rng(6),
         )
-        assert np.array_equal(from_far, from_zero)
+        assert np.array_equal(from_far.weights, from_zero.weights)
 
     def test_growing_data_does_not_increase_final_loss(self):
         # retrains on nested subsets; objective on the full set should not
@@ -347,11 +375,10 @@ class TestClientRoundRetrain:
         losses = []
         cached = None
         for rows in (40, 80, 120):
-            w, record, retrained = client_round_retrain(
+            cached = client_round_retrain(
                 np.full((2, 3), 100.0), self._subset(rows), cached, 1e-9,
                 self.cfg, None, None, rng,
             )
-            assert retrained
-            cached = (w, record)
-            losses.append(loss(to_float(w), self.full, self.cfg.l2_alpha))
+            assert cached.trained
+            losses.append(loss(to_float(cached.weights), self.full, self.cfg.l2_alpha))
         assert losses[0] >= losses[1] >= losses[2]
