@@ -25,7 +25,6 @@ from .dp import (
 )
 from .engine import (
     ClientAgent,
-    Directory,
     Envelope,
     IterationReport,
     LatencyTable,

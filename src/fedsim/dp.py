@@ -2,8 +2,9 @@
 
 Noise is i.i.d. per weight element.  Each agent owns a private seeded
 stream (``numpy.random.Generator``), so every sampler is deterministic for
-a fixed seed and independent of thread scheduling.  Epsilon is applied
-independently per perturbation; no composition accounting is performed.
+a fixed seed and independent of the order in which agents run.  Epsilon
+is applied independently per perturbation; no composition accounting is
+performed.
 """
 
 from __future__ import annotations

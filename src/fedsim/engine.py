@@ -1,15 +1,16 @@
 """Agent framework and simulation lifecycle.
 
-A simulation wires client agents (and, in the centralized topology, one
-server agent) into a directory and drives them through an offline key
-exchange followed by numbered iterations.  All timing is simulated: every
-message carries a ``sim_time`` stamp computed from declared latencies and
-compute durations, never from the wall clock, and each iteration's clock
-restarts at zero.  Client computations within an iteration may run
-concurrently; results are independent of interleaving because each client
-owns its state and random streams, and aggregation happens over exact
-matrices (integer numerators over a shared denominator, see ``exact``) in
-canonical name order.
+A simulation builds client agents (and, in the centralized topology, one
+server agent) and drives them through an offline key exchange followed by
+numbered iterations.  All timing is simulated: every message carries a
+``sim_time`` stamp computed from declared latencies and compute durations,
+never from the wall clock, and each iteration's clock restarts at zero.
+Clients compute concurrently in simulated time but run one after another
+on the host, in name order.  Each client owns its state and random
+streams, and aggregation happens over exact matrices (integer numerators
+over a shared denominator, see ``exact``) in name order, so the order of
+host execution never shows in the results.  Every message between two
+agents passes through ``Simulation._deliver``, which counts it by edge.
 
 Message bodies use a closed set of kinds:
 
@@ -28,7 +29,6 @@ kind                 body keys
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -74,22 +74,6 @@ class Envelope:
     def __post_init__(self) -> None:
         if self.sim_time < 0:
             raise ValueError(f"sim_time must be nonnegative, got {self.sim_time}")
-
-
-class Directory:
-    """Immutable mapping from agent name to agent instance."""
-
-    def __init__(self, agents: Mapping[str, Any]):
-        self._agents = dict(agents)
-
-    def __getitem__(self, name: str) -> Any:
-        return self._agents[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._agents
-
-    def names(self) -> list[str]:
-        return sorted(self._agents)
 
 
 class LatencyTable:
@@ -198,7 +182,6 @@ class ClientAgent:
         size_schedule: Mapping[str, list[int]] | None = None,
         latencies: LatencyTable | None = None,
         compute_override: float | None = None,
-        counters: MessageCounters | None = None,
     ):
         if algorithm not in ("incremental", "retrain"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -216,12 +199,10 @@ class ClientAgent:
         self.size_schedule = dict(size_schedule or {})
         self.latencies = latencies
         self.compute_override = compute_override
-        self.counters = counters if counters is not None else MessageCounters()
 
         n_features = test_set.features.shape[1]
         self.active = True
         self.departing = False
-        self.directory: Directory | None = None
         self.active_view: list[str] = [name]
         self.federated_weights = zero_weights(n_classes, n_features)
         self.clock = 0.0
@@ -246,10 +227,7 @@ class ClientAgent:
         self._peer_buffer: dict[int, dict[str, Envelope]] = {}
         self._own_contribution: dict[int, tuple[np.ndarray, float]] = {}
 
-    # -- directory / offline phase -------------------------------------
-
-    def set_directory(self, directory: Directory) -> None:
-        self.directory = directory
+    # -- offline phase ----------------------------------------------------
 
     def sync_active_view(self, active: list[str]) -> None:
         """Reset this client's view of the active set (sorted by name)."""
@@ -258,23 +236,17 @@ class ClientAgent:
     def generate_keys(self) -> None:
         self._keypair = dh_generate(self._key_rng)
 
-    def send_pubkeys(self) -> None:
-        """Send our public value to every other client in the directory."""
+    def pubkey_envelope(self, peer: str) -> Envelope:
+        """Our public value, addressed to ``peer``."""
         if self._keypair is None:
             self.generate_keys()
-        assert self.directory is not None
-        for peer in self.directory.names():
-            if peer == self.name or peer == SERVER_NAME:
-                continue
-            env = Envelope(
-                sender=self.name,
-                recipient=peer,
-                iteration=0,
-                body={"kind": "public_key", "value": self._keypair.public},
-                sim_time=0.0,
-            )
-            self.counters.offline_client_client += 1
-            self.directory[peer].receive_pubkey(env)
+        return Envelope(
+            sender=self.name,
+            recipient=peer,
+            iteration=0,
+            body={"kind": "public_key", "value": self._keypair.public},
+            sim_time=0.0,
+        )
 
     def receive_pubkey(self, env: Envelope) -> None:
         if env.sender in self._peer_publics:
@@ -282,13 +254,10 @@ class ClientAgent:
         self._peer_publics[env.sender] = env.body["value"]
 
     def initialize_common_keys(self) -> None:
-        """Derive one common key per peer from the exchanged public values."""
+        """Derive one common key per peer in the active view from the
+        exchanged public values."""
         assert self._keypair is not None
-        expected = {
-            p for p in (self.directory.names() if self.directory else [])
-            if p not in (self.name, SERVER_NAME)
-        }
-        missing = expected - set(self._peer_publics)
+        missing = set(self.active_view) - {self.name} - set(self._peer_publics)
         if missing:
             raise ProtocolError(f"missing public keys from {sorted(missing)}")
         keys = {
@@ -494,19 +463,13 @@ class ServerAgent:
         global_dp_for: Callable[[list[str]], DpSpec | None] | None = None,
         sens_for: Callable[[int, list[str]], SensitivityParams] | None = None,
         noise_seed: int = 0,
-        counters: MessageCounters | None = None,
     ):
         self.name = name
         self.latencies = latencies
         self.compute_override = compute_override
         self.global_dp_for = global_dp_for
         self.sens_for = sens_for
-        self.counters = counters if counters is not None else MessageCounters()
-        self.directory: Directory | None = None
         self._noise_rng = np.random.default_rng(np.random.SeedSequence(noise_seed))
-
-    def set_directory(self, directory: Directory) -> None:
-        self.directory = directory
 
     def _latency(self, recipient: str) -> float:
         if self.latencies is None:
@@ -544,7 +507,6 @@ class Simulation:
         config,
         client_datasets: list[list[Dataset]],
         test_set: Dataset,
-        parallel: bool = True,
     ):
         if len(client_datasets) != config.num_clients:
             raise ValueError(
@@ -559,7 +521,6 @@ class Simulation:
                 )
         self.config = config
         self.test_set = test_set
-        self.parallel = parallel
         self.counters = MessageCounters()
 
         names = [f"client_agent{i}" for i in range(config.num_clients)]
@@ -576,9 +537,9 @@ class Simulation:
             for i, name in enumerate(names)
         }
 
-        agents: dict[str, Any] = {}
+        self.directory: dict[str, Any] = {}
         for i, name in enumerate(names):
-            agents[name] = ClientAgent(
+            self.directory[name] = ClientAgent(
                 name=name,
                 datasets=client_datasets[i],
                 test_set=test_set,
@@ -595,8 +556,8 @@ class Simulation:
                 size_schedule=size_schedule,
                 latencies=self.latencies,
                 compute_override=config.client_compute_s,
-                counters=self.counters,
             )
+            self.directory[name].sync_active_view(names)
         self.server: ServerAgent | None = None
         if config.topology == "centralized":
             self.server = ServerAgent(
@@ -607,16 +568,10 @@ class Simulation:
                     size_schedule, active, iteration, config.train.l2_alpha
                 ),
                 noise_seed=config.server_seed,
-                counters=self.counters,
             )
-            agents[SERVER_NAME] = self.server
-        self.directory = Directory(agents)
-        for agent in agents.values():
-            agent.set_directory(self.directory)
-        self.active = list(names)
+            self.directory[SERVER_NAME] = self.server
+        self.active = sorted(names)
         self._size_schedule = size_schedule
-        for name in names:
-            self.directory[name].sync_active_view(names)
 
     @staticmethod
     def _count_classes(client_datasets: list[list[Dataset]], test_set: Dataset) -> int:
@@ -626,6 +581,44 @@ class Simulation:
                 if len(ds):
                     top = max(top, int(ds.labels.max()))
         return top + 1
+
+    # -- message delivery ----------------------------------------------------
+
+    @staticmethod
+    def _invoke(name: str, iteration: int, fn: Callable[..., Any], *args: Any) -> Any:
+        """Run one agent step; any failure but a ProtocolError is reported
+        as a SimulationError naming the agent and the iteration."""
+        try:
+            return fn(*args)
+        except ProtocolError:
+            raise
+        except Exception as exc:
+            raise SimulationError(
+                f"agent {name!r} failed during iteration {iteration}: {exc}"
+            ) from exc
+
+    def _deliver(self, env: Envelope, handler: str | None = None) -> Any:
+        """Count ``env`` by edge and pass it to the recipient's ``handler``.
+
+        Without a handler the envelope is returned to the caller, which
+        holds it for the recipient: the round that drives the server
+        collects the server's replies.  A self-addressed envelope is not a
+        send and is not counted.
+        """
+        if env.sender != env.recipient:
+            if env.iteration == 0:
+                edge = "offline_client_client"
+            elif env.sender == SERVER_NAME:
+                edge = "server_client"
+            elif env.recipient == SERVER_NAME:
+                edge = "client_server"
+            else:
+                edge = "online_client_client"
+            setattr(self.counters, edge, getattr(self.counters, edge) + 1)
+        if handler is None:
+            return env
+        method = getattr(self.directory[env.recipient], handler)
+        return self._invoke(env.recipient, env.iteration, method, env)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -639,32 +632,11 @@ class Simulation:
         for client in clients:
             client.generate_keys()
         for client in clients:
-            client.send_pubkeys()
+            for peer in self.client_names:
+                if peer != client.name:
+                    self._deliver(client.pubkey_envelope(peer), "receive_pubkey")
         for client in clients:
             client.initialize_common_keys()
-
-    def _invoke(self, calls: list[tuple[str, Callable[[], Any]]], iteration: int) -> dict:
-        results: dict[str, Any] = {}
-
-        def guarded(name: str, fn: Callable[[], Any]):
-            try:
-                return fn()
-            except ProtocolError:
-                raise
-            except Exception as exc:
-                raise SimulationError(
-                    f"client {name!r} failed during iteration {iteration}: {exc}"
-                ) from exc
-
-        if self.parallel and len(calls) > 1:
-            with ThreadPoolExecutor(max_workers=len(calls)) as pool:
-                futures = {name: pool.submit(guarded, name, fn) for name, fn in calls}
-                for name, future in futures.items():
-                    results[name] = future.result()
-        else:
-            for name, fn in calls:
-                results[name] = guarded(name, fn)
-        return results
 
     def run_round(self, iteration: int, active: list[str] | None = None) -> IterationReport:
         """Drive one full iteration against the given (or current) active set."""
@@ -678,32 +650,25 @@ class Simulation:
             report = self._server_round(iteration, list(self.active))
         else:
             report = self._serverless_round(iteration, list(self.active))
-        survivors = [c for c in self.active if c not in report.dropouts]
-        if report.dropouts:
-            for name in report.dropouts:
-                self.directory[name].retire()
-        self.active = survivors
+        for name in report.dropouts:
+            self.directory[name].retire()
+        self.active = [c for c in self.active if c not in report.dropouts]
         return report
 
     def _server_round(self, iteration: int, active: list[str]) -> IterationReport:
         server = self.server
         assert server is not None
-        requests = {
-            c: Envelope(
+        replies = {}
+        for c in active:
+            request = Envelope(
                 sender=server.name,
                 recipient=c,
                 iteration=iteration,
                 body={"kind": "weights_request"},
                 sim_time=self.latencies.latency(server.name, c),
             )
-            for c in active
-        }
-        self.counters.server_client += len(active)
-        replies = self._invoke(
-            [(c, lambda c=c: self.directory[c].produce_weights(requests[c])) for c in active],
-            iteration,
-        )
-        self.counters.client_server += len(active)
+            reply = self._deliver(request, "produce_weights")
+            replies[c] = self._deliver(reply)  # held here for the server
 
         started = time.perf_counter()
         sizes = (
@@ -730,11 +695,7 @@ class Simulation:
             )
             for c in active
         }
-        flags = self._invoke(
-            [(c, lambda c=c: self.directory[c].receive_weights(returns[c])) for c in active],
-            iteration,
-        )
-        self.counters.server_client += len(active)
+        flags = {c: self._deliver(returns[c], "receive_weights") for c in active}
 
         dropouts = (
             sorted(c for c in active if flags[c]) if self.config.client_dropout else []
@@ -750,33 +711,24 @@ class Simulation:
                     body={"kind": "dropouts", "dropped": dropouts},
                     sim_time=returns[c].sim_time,
                 )
-                self.counters.server_client += 1
-                self.directory[c].remove_active_clients(announce)
+                self._deliver(announce, "remove_active_clients")
         return self._assemble_report(iteration, active, dropouts)
 
     def _serverless_round(self, iteration: int, active: list[str]) -> IterationReport:
-        starts = {
-            c: Envelope(
+        for c in active:
+            start = Envelope(
                 sender=c,
                 recipient=c,
                 iteration=iteration,
                 body={"kind": "round_start"},
                 sim_time=0.0,
             )
+            for env in self._deliver(start, "broadcast_weights").values():
+                self._deliver(env, "receive_peer_weights")
+        flags = {
+            c: self._invoke(c, iteration, self.directory[c].complete_peer_round, iteration)
             for c in active
         }
-        broadcasts = self._invoke(
-            [(c, lambda c=c: self.directory[c].broadcast_weights(starts[c])) for c in active],
-            iteration,
-        )
-        for sender, envelopes in broadcasts.items():
-            for peer, env in envelopes.items():
-                self.counters.online_client_client += 1
-                self.directory[peer].receive_peer_weights(env)
-        flags = self._invoke(
-            [(c, lambda c=c: self.directory[c].complete_peer_round(iteration)) for c in active],
-            iteration,
-        )
         dropouts = (
             sorted(c for c in active if flags[c]) if self.config.client_dropout else []
         )
@@ -793,8 +745,7 @@ class Simulation:
                         body={"kind": "dropouts", "dropped": [dropped]},
                         sim_time=self.directory[c].receipt_time(iteration),
                     )
-                    self.counters.online_client_client += 1
-                    self.directory[c].remove_active_clients(announce)
+                    self._deliver(announce, "remove_active_clients")
         return self._assemble_report(iteration, active, dropouts)
 
     def _assemble_report(
@@ -826,7 +777,6 @@ def run_simulation(
     config,
     client_datasets: list[list[Dataset]],
     test_set: Dataset,
-    parallel: bool = True,
 ) -> list[IterationReport]:
     """Convenience wrapper: build a Simulation from prepared data and run it."""
-    return Simulation(config, client_datasets, test_set, parallel=parallel).run()
+    return Simulation(config, client_datasets, test_set).run()

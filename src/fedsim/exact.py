@@ -154,7 +154,7 @@ def exact_mean(
 ) -> ExactMatrix:
     """Elementwise (optionally weighted) exact mean of float or exact matrices.
 
-    Order-independent by construction, which is what lets concurrent and
+    Order-independent by construction, which is what lets centralized and
     serverless aggregation produce identical results.  ``weights`` must be
     positive integers, one per matrix.
     """

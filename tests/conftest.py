@@ -51,13 +51,15 @@ def make_config(**overrides) -> SimConfig:
     return config_from_dict(base_config_dict(**overrides))
 
 
-def make_simulation(parallel: bool = True, **overrides) -> Simulation:
+def make_simulation(**overrides) -> Simulation:
     config = make_config(**overrides)
     client_datasets, test_set = build_inputs(config)
-    return Simulation(config, client_datasets, test_set, parallel=parallel)
+    return Simulation(config, client_datasets, test_set)
 
 
-def make_skewed_dropout_simulation(topology: str = "centralized") -> Simulation:
+def make_skewed_dropout_simulation(
+    topology: str = "centralized", use_security: bool = False
+) -> Simulation:
     """A 3-client setup where exactly one client converges at iteration 1.
 
     Clients 0 and 1 see only half the classes each, so their local models
@@ -91,6 +93,7 @@ def make_skewed_dropout_simulation(topology: str = "centralized") -> Simulation:
     test_set = take([0, 1, 2, 3], 200)
     config = make_config(
         topology=topology,
+        use_security=use_security,
         num_iterations=iters,
         client_dropout=True,
         tolerance=0.5,

@@ -1,12 +1,14 @@
 """Tests for the command-line interface and shipped configuration files."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import fedsim
 from conftest import base_config_dict
 from fedsim.cli import main
 from fedsim.config import load_config, load_csv_dataset
@@ -119,10 +121,14 @@ class TestShippedConfigs:
         assert load_config(echo) == config
 
     def test_console_script_entry_point(self):
+        # the child process imports the same fedsim as this one, installed or not
+        source_root = str(Path(fedsim.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "fedsim.cli", "validate",
              str(CONFIG_DIR / "example.json")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0

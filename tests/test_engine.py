@@ -1,11 +1,15 @@
 """Tests for the agent framework, lifecycle, clock and dropout bookkeeping."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from conftest import base_config_dict, make_simulation, make_skewed_dropout_simulation
 from fedsim.config import build_inputs, config_from_dict
 from fedsim.engine import (
+    ClientAgent,
     Envelope,
     LatencyTable,
     ProtocolError,
@@ -424,22 +428,6 @@ class TestRunSimulation:
         for report in reports:
             assert report.receipt_sim_time == reports[0].receipt_sim_time
 
-    def test_scheduling_independence(self):
-        parallel = make_simulation(
-            parallel=True, use_security=True, use_dp_privacy=True,
-            mechanism="distributed_laplace", dp_placement="distributed",
-            epsilons=[1.0, 1.0, 1.0],
-        ).run()
-        sequential = make_simulation(
-            parallel=False, use_security=True, use_dp_privacy=True,
-            mechanism="distributed_laplace", dp_placement="distributed",
-            epsilons=[1.0, 1.0, 1.0],
-        ).run()
-        for a, b in zip(parallel, sequential):
-            assert a.evals == b.evals
-            assert a.receipt_sim_time == b.receipt_sim_time
-            assert a.dropouts == b.dropouts
-
     def test_dropped_client_receives_no_further_calls(self):
         sim = make_simulation(tolerance=1e9, client_dropout=True, num_iterations=3)
         reports = sim.run()
@@ -456,6 +444,79 @@ class TestRunSimulation:
         sim.directory["client_agent1"].datasets[1] = None
         with pytest.raises(SimulationError, match="client_agent1"):
             sim.run_round(2)
+
+
+class TestMessageCounts:
+    @pytest.mark.parametrize("topology", ["centralized", "serverless"])
+    def test_every_edge_follows_the_protocol(self, topology):
+        sim = make_skewed_dropout_simulation(topology=topology, use_security=True)
+        reports = sim.run()
+        assert [r.dropouts for r in reports] == [
+            ["client_agent2"], ["client_agent0", "client_agent1"]
+        ]
+        total = len(sim.client_names)
+        expected = {
+            "offline_client_client": total * (total - 1),
+            "online_client_client": 0,
+            "client_server": 0,
+            "server_client": 0,
+        }
+        for report in reports:
+            n = len(report.evals)
+            survivors = n - len(report.dropouts)
+            if topology == "centralized":
+                expected["server_client"] += 2 * n  # requests and returns
+                expected["client_server"] += n  # replies
+                if report.dropouts:
+                    expected["server_client"] += survivors  # one announcement each
+            else:
+                expected["online_client_client"] += n * (n - 1)  # peer envelopes
+                # each departing client announces itself to each survivor
+                expected["online_client_client"] += len(report.dropouts) * survivors
+        assert vars(sim.counters) == expected
+
+
+SIX_SECURE_DP = dict(
+    num_clients=6,
+    use_security=True,
+    use_dp_privacy=True,
+    epsilons=[1.0] * 6,
+    seeds=[11, 22, 33, 44, 55, 66],
+    dataset_sizes=[[20, 20, 20]] * 6,
+    data={"kind": "synth", "classes": 3, "features": 5, "rows": 500,
+          "separation": 2.5},
+)
+
+
+class TestSerialExecution:
+    def test_clients_run_in_name_order_on_the_calling_thread(self, monkeypatch):
+        sim = make_simulation(**SIX_SECURE_DP)
+        sim.offline_phase()
+        seen = []
+        produce = ClientAgent.produce_weights
+
+        def spy(self, env):
+            seen.append((self.name, threading.active_count()))
+            return produce(self, env)
+
+        monkeypatch.setattr(ClientAgent, "produce_weights", spy)
+        before = threading.active_count()
+        sim.run_round(1)
+        assert seen == [(c, before) for c in sorted(sim.client_names)]
+
+    def test_measured_compute_fits_in_round_wall_time(self):
+        # enough training per client that concurrent clients would interleave
+        sim = make_simulation(
+            compute={"client_s": None, "server_s": None},
+            train={"local_steps": 300, "learning_rate": 0.5, "l2_alpha": 0.01,
+                   "batch_size": 10},
+            **SIX_SECURE_DP,
+        )
+        sim.offline_phase()
+        started = time.perf_counter()
+        report = sim.run_round(1)
+        wall = time.perf_counter() - started
+        assert sum(report.compute_s.values()) <= wall
 
 
 class TestWeightedAveraging:
