@@ -177,7 +177,6 @@ class ClientAgent:
         dp_spec: DpSpec | None = None,
         use_security: bool = False,
         subtract_dp_noise: bool = False,
-        client_dropout: bool = False,
         weighted_averaging: bool = False,
         size_schedule: Mapping[str, list[int]] | None = None,
         latencies: LatencyTable | None = None,
@@ -194,7 +193,6 @@ class ClientAgent:
         self.dp_spec = dp_spec
         self.use_security = use_security
         self.subtract_dp_noise = subtract_dp_noise
-        self.client_dropout = client_dropout
         self.weighted_averaging = weighted_averaging
         self.size_schedule = dict(size_schedule or {})
         self.latencies = latencies
@@ -202,10 +200,8 @@ class ClientAgent:
 
         n_features = test_set.features.shape[1]
         self.active = True
-        self.departing = False
         self.active_view: list[str] = [name]
         self.federated_weights = zero_weights(n_classes, n_features)
-        self.clock = 0.0
 
         seq = np.random.SeedSequence(seed)
         train_seq, noise_seq, key_seq = seq.spawn(3)
@@ -325,7 +321,6 @@ class ClientAgent:
         )
         self._compute[iteration] = duration
         self._current_iteration = iteration
-        self.clock = env.sim_time + duration
         return outgoing, duration
 
     def produce_weights(self, env: Envelope) -> Envelope:
@@ -364,17 +359,12 @@ class ClientAgent:
         )
         del self._records[iteration]
         self._receipts[iteration] = env.sim_time
-        self.clock = env.sim_time
-        flag = converged(local, fed_f, self.tolerance)
-        if self.client_dropout and flag:
-            self.departing = True
-        return flag
+        return converged(local, fed_f, self.tolerance)
 
     def remove_active_clients(self, env: Envelope) -> None:
         """End-of-iteration dropout announcement: shrink the active view."""
         dropped = env.body["dropped"]
         self.active_view = [c for c in self.active_view if c not in dropped]
-        self.clock = max(self.clock, env.sim_time)
 
     def retire(self) -> None:
         self.active = False
@@ -458,23 +448,16 @@ class ServerAgent:
         self,
         name: str = SERVER_NAME,
         *,
-        latencies: LatencyTable | None = None,
         compute_override: float | None = None,
         global_dp_for: Callable[[list[str]], DpSpec | None] | None = None,
         sens_for: Callable[[int, list[str]], SensitivityParams] | None = None,
         noise_seed: int = 0,
     ):
         self.name = name
-        self.latencies = latencies
         self.compute_override = compute_override
         self.global_dp_for = global_dp_for
         self.sens_for = sens_for
         self._noise_rng = np.random.default_rng(np.random.SeedSequence(noise_seed))
-
-    def _latency(self, recipient: str) -> float:
-        if self.latencies is None:
-            return 0.0
-        return self.latencies.latency(self.name, recipient)
 
     def aggregate(
         self,
@@ -520,7 +503,6 @@ class Simulation:
                     f"config runs {config.num_iterations}"
                 )
         self.config = config
-        self.test_set = test_set
         self.counters = MessageCounters()
 
         names = [f"client_agent{i}" for i in range(config.num_clients)]
@@ -551,7 +533,6 @@ class Simulation:
                 dp_spec=config.dp_spec_for(i),
                 use_security=config.use_security,
                 subtract_dp_noise=config.subtract_dp_noise,
-                client_dropout=config.client_dropout,
                 weighted_averaging=config.weighted_averaging,
                 size_schedule=size_schedule,
                 latencies=self.latencies,
@@ -561,7 +542,6 @@ class Simulation:
         self.server: ServerAgent | None = None
         if config.topology == "centralized":
             self.server = ServerAgent(
-                latencies=self.latencies,
                 compute_override=config.server_compute_s,
                 global_dp_for=config.global_dp_for,
                 sens_for=lambda iteration, active: round_sensitivity(

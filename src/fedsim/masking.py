@@ -1,12 +1,27 @@
 """One-shot Diffie-Hellman key agreement and cancelling mask schedules.
 
-Clients agree on pairwise common keys once, offline.  For every later
-iteration each pair derives an identical mask tensor from its key via a
-keyed counter construction (hash of key || iteration || element index), so
-no further client-client communication is ever needed.  One endpoint adds
-the mask, the other subtracts it, and the pair's contribution vanishes
-from any aggregate.  Mask addition happens over exact matrices, which is
-what makes the cancellation bit-exact rather than approximate.
+Clients agree on pairwise common keys once, offline, in the 2048-bit MODP
+group 14 of RFC 3526.  Its prime is safe, p = 2q + 1 with q prime, and the
+generator 2 has order q.  Secrets are short exponents of ``SECRET_BITS``
+bits, inside the 220-320-bit range RFC 3526 section 8 gives for this group:
+p - 1 = 2q has no small factor for the short-exponent attacks of van
+Oorschot and Wiener to use, and Pollard's lambda method needs about
+2^(SECRET_BITS / 2) steps, more than the ~110-bit strength of the group.
+A short exponent makes each modular exponentiation about eight times
+cheaper than a full-width one.
+
+``dh_common_key`` checks its input twice: the peer's public value must lie
+in (1, p - 1), and the shared value must not be 1 or p - 1, the elements
+of the only small subgroup (order 2).  The shared value is hashed to a
+256-bit key.
+
+For every later iteration each pair derives an identical mask tensor from
+its key via a keyed counter construction (hash of key || iteration ||
+element index), so no further client-client communication is ever needed.
+One endpoint adds the mask, the other subtracts it, and the pair's
+contribution vanishes from any aggregate.  Mask addition happens over
+exact matrices, which is what makes the cancellation bit-exact rather
+than approximate.
 """
 
 from __future__ import annotations
@@ -33,6 +48,9 @@ GROUP_PRIME = int(
 )
 GROUP_GENERATOR = 2
 GROUP_ORDER = (GROUP_PRIME - 1) // 2  # prime order of the quadratic-residue subgroup
+
+#: Bit length bound of a Diffie-Hellman secret: secrets lie in [2, 2**SECRET_BITS).
+SECRET_BITS = 256
 
 #: Half-width of the uniform mask range [-MASK_BOUND, MASK_BOUND].
 MASK_BOUND = 1e6
@@ -77,11 +95,10 @@ class MaskSchedule:
 
 
 def dh_generate(rng: np.random.Generator) -> DhKeyPair:
-    """Generate a key pair with the secret uniform over [2, q-1]."""
+    """Generate a key pair with the secret uniform over [2, 2**SECRET_BITS)."""
     while True:
-        candidate = int.from_bytes(rng.bytes(_GROUP_BYTES), "big")
-        if 2 <= candidate <= GROUP_ORDER - 1:
-            secret = candidate
+        secret = int.from_bytes(rng.bytes(SECRET_BITS // 8), "big")
+        if secret >= 2:
             break
     return DhKeyPair(secret=secret, public=pow(GROUP_GENERATOR, secret, GROUP_PRIME))
 
@@ -92,10 +109,14 @@ def dh_common_key(
     """Derive the shared 256-bit key from our secret and a peer's public value.
 
     Symmetric by construction: both endpoints hash the same g^(a*b) mod p.
+    Raises ValueError for a public value outside (1, p-1) and for a
+    degenerate shared value (1 or p-1).
     """
     if not 1 < other_public < GROUP_PRIME - 1:
         raise ValueError("peer public value outside the valid group range")
     shared = pow(other_public, own.secret, GROUP_PRIME)
+    if shared in (1, GROUP_PRIME - 1):
+        raise ValueError("degenerate shared value: key agreement yields no secret")
     material = hashlib.sha256(shared.to_bytes(_GROUP_BYTES, "big")).digest()
     return CommonKey(pair=tuple(sorted(pair)), key_material=material)
 

@@ -121,14 +121,19 @@ def loss(w: np.ndarray, data: Dataset, l2_alpha: float) -> float:
     return ce + 0.5 * l2_alpha * float(np.sum(w * w))
 
 
+def _gradient(
+    w: np.ndarray, x: np.ndarray, labels: np.ndarray, l2_alpha: float
+) -> np.ndarray:
+    # x is already augmented; subtracting 1 at each row's label is p - onehot.
+    probs = _softmax(x @ w.T)
+    probs[np.arange(len(labels)), labels] -= 1.0
+    return probs.T @ x / len(labels) + l2_alpha * w
+
+
 def gradient(w: np.ndarray, data: Dataset, l2_alpha: float) -> np.ndarray:
     """Analytic gradient of ``loss`` with respect to the weight matrix."""
     _check_shapes(data, w)
-    x = _augment(data.features)
-    probs = _softmax(x @ w.T)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(len(data)), data.labels] = 1.0
-    return (probs - onehot).T @ x / len(data) + l2_alpha * w
+    return _gradient(w, _augment(data.features), data.labels, l2_alpha)
 
 
 def sgd_train(
@@ -147,6 +152,7 @@ def sgd_train(
     init = np.asarray(init, dtype=np.float64)
     _check_shapes(data, init)
     w = init.copy()
+    x = _augment(data.features)
     n = len(data)
     order = rng.permutation(n)
     cursor = 0
@@ -156,8 +162,9 @@ def sgd_train(
             cursor = 0
         batch_idx = order[cursor : cursor + cfg.batch_size]
         cursor += cfg.batch_size
-        batch = Dataset(data.features[batch_idx], data.labels[batch_idx])
-        w -= cfg.learning_rate * gradient(w, batch, cfg.l2_alpha)
+        w -= cfg.learning_rate * _gradient(
+            w, x[batch_idx], data.labels[batch_idx], cfg.l2_alpha
+        )
     return w
 
 

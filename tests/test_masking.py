@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 from fedsim.exact import to_exact, to_float
 from fedsim.masking import (
     GROUP_GENERATOR,
+    GROUP_ORDER,
     GROUP_PRIME,
     MASK_BOUND,
+    SECRET_BITS,
     CommonKey,
+    DhKeyPair,
     MaskSchedule,
     apply_masks,
     dh_common_key,
@@ -52,6 +55,13 @@ class TestKeyGeneration:
             assert 1 < pair.public < GROUP_PRIME - 1
             assert pow(GROUP_GENERATOR, pair.secret, GROUP_PRIME) == pair.public
 
+    def test_secret_is_a_short_exponent(self):
+        assert SECRET_BITS == 256
+        for seed in range(50):
+            pair = dh_generate(np.random.default_rng(seed))
+            assert 2 <= pair.secret < 2**256
+            assert pow(2, pair.secret, GROUP_PRIME) == pair.public
+
     def test_identical_seeds_identical_pairs(self):
         a = dh_generate(np.random.default_rng(123))
         b = dh_generate(np.random.default_rng(123))
@@ -76,6 +86,24 @@ class TestCommonKey:
         own = dh_generate(np.random.default_rng(1))
         with pytest.raises(ValueError):
             dh_common_key(own, bad)
+
+    @pytest.mark.parametrize(
+        "other_public",
+        [
+            # an honest public value has order q, so its q-th power is 1
+            dh_generate(np.random.default_rng(6)).public,
+            # p - 2 is a non-residue (p = 7 mod 8), so its q-th power is p - 1
+            GROUP_PRIME - 2,
+        ],
+    )
+    def test_degenerate_shared_value_rejected(self, other_public):
+        own = DhKeyPair(
+            secret=GROUP_ORDER,
+            public=pow(GROUP_GENERATOR, GROUP_ORDER, GROUP_PRIME),
+        )
+        assert pow(other_public, own.secret, GROUP_PRIME) in (1, GROUP_PRIME - 1)
+        with pytest.raises(ValueError, match="degenerate shared value"):
+            dh_common_key(own, other_public)
 
     def test_key_material_is_256_bits(self):
         own, other = dh_generate(np.random.default_rng(2)), dh_generate(

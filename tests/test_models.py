@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedsim.dp import DpSpec, NoiseRecord, SensitivityParams
 from fedsim.exact import exact_mean, to_exact, to_float
@@ -97,7 +98,63 @@ class TestGradient:
             gradient(np.zeros((2, 3)), data, 0.1)
 
 
+def reference_gradient(w, data, alpha):
+    """The gradient as an explicit one-hot formula over a validated batch."""
+    x = np.hstack([data.features, np.ones((len(data), 1))])
+    scores = x @ w.T
+    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(len(data)), data.labels] = 1.0
+    return (probs - onehot).T @ x / len(data) + alpha * w
+
+
+def reference_sgd(data, init, cfg, rng):
+    """Minibatch SGD building one Dataset per step, as the oracle."""
+    w = np.array(init, dtype=np.float64)
+    n = len(data)
+    order = rng.permutation(n)
+    cursor = 0
+    for _ in range(cfg.local_steps):
+        if cursor >= n:
+            order = rng.permutation(n)
+            cursor = 0
+        idx = order[cursor : cursor + cfg.batch_size]
+        cursor += cfg.batch_size
+        batch = Dataset(data.features[idx], data.labels[idx])
+        w -= cfg.learning_rate * reference_gradient(w, batch, cfg.l2_alpha)
+    return w
+
+
 class TestSgdTrain:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=40),
+        features=st.integers(min_value=1, max_value=6),
+        classes=st.integers(min_value=2, max_value=5),
+        batch_size=st.integers(min_value=1, max_value=50),
+        local_steps=st.integers(min_value=1, max_value=30),
+        learning_rate=st.floats(min_value=1e-3, max_value=2.0),
+        l2_alpha=st.floats(min_value=1e-4, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_per_batch_reference_bit_for_bit(
+        self, rows, features, classes, batch_size, local_steps, learning_rate,
+        l2_alpha, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        data = Dataset(
+            rng.standard_normal((rows, features)) * 3.0,
+            rng.integers(0, classes, rows),
+        )
+        init = rng.standard_normal((classes, features + 1))
+        cfg = TrainConfig(local_steps, learning_rate, l2_alpha, batch_size)
+        assert np.array_equal(gradient(init, data, l2_alpha),
+                              reference_gradient(init, data, l2_alpha))
+        out = sgd_train(data, init, cfg, np.random.default_rng(seed + 1))
+        expected = reference_sgd(data, init, cfg, np.random.default_rng(seed + 1))
+        assert np.array_equal(out, expected)
+
     def test_zero_gradient_fixed_point(self):
         # two points at the origin, one per class: softmax is uniform and
         # the label terms cancel, so a full-batch step moves nothing
