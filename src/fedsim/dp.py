@@ -108,9 +108,12 @@ def gaussian_sample(
     rng: np.random.Generator,
     size: tuple[int, ...] | int | None = None,
 ) -> float | np.ndarray:
-    """Zero-mean normal draw(s) calibrated by the analytic Gaussian bound.
+    """Zero-mean normal draw(s) calibrated by the classical Gaussian bound.
 
-    sigma = sensitivity * sqrt(2 * ln(1.25 / delta)) / epsilon.
+    sigma = sensitivity * sqrt(2 * ln(1.25 / delta)) / epsilon, the bound of
+    Dwork & Roth 2014, Theorem A.1, which is proven only for epsilon < 1.
+    Larger epsilons are accepted, but the (epsilon, delta) guarantee is then
+    unproven for this sigma.
     """
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")

@@ -41,9 +41,10 @@ class ExactMatrix:
     a float array or a number on the right (``0 + x`` also works, so
     ``sum()`` does), ``*`` by an integer, ``/`` by a positive integer,
     elementwise ``==`` (a bool array), indexing, and ``float()`` of a
-    single element.  There is deliberately no ``__array__``: ``np.asarray``
-    never turns an exact value into floats behind the caller's back; use
-    :func:`to_float`.
+    single element.  ``+``, ``-`` and ``==`` broadcast only a 0-d operand;
+    operands of two different non-scalar shapes raise ``ValueError``.
+    There is deliberately no ``__array__``: ``np.asarray`` never turns an
+    exact value into floats behind the caller's back; use :func:`to_float`.
     """
 
     __slots__ = ("num", "den")
@@ -76,6 +77,10 @@ class ExactMatrix:
     def _aligned(self, other) -> tuple[np.ndarray, np.ndarray, int]:
         if not isinstance(other, ExactMatrix):
             other = _lift(other)
+        if self.num.ndim and other.num.ndim and self.shape != other.shape:
+            raise ValueError(
+                f"exact matrix shape mismatch: {self.shape} != {other.shape}"
+            )
         if self.den == other.den:
             return self.num, other.num, self.den
         den = math.lcm(self.den, other.den)

@@ -16,17 +16,18 @@ of the only small subgroup (order 2).  The shared value is hashed to a
 256-bit key.
 
 For every later iteration each pair derives an identical mask tensor from
-its key via a keyed counter construction (hash of key || iteration ||
-element index), so no further client-client communication is ever needed.
-One endpoint adds the mask, the other subtracts it, and the pair's
-contribution vanishes from any aggregate.  Mask addition happens over
-exact matrices, which is what makes the cancellation bit-exact rather
-than approximate.
+one SHAKE-256 stream of key || iteration, one mask per pair per iteration,
+so no further client-client communication is ever needed.  One endpoint
+adds the mask, the other subtracts it, and the pair's contribution
+vanishes from any aggregate.  A client lifts its signed masks to one exact
+matrix and adds their sum once; exact arithmetic is what makes the
+cancellation bit-exact rather than approximate.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,21 +125,19 @@ def dh_common_key(
 def mask_tensor(key: CommonKey, iteration: int, shape: tuple[int, ...]) -> np.ndarray:
     """Deterministic mask tensor for one pair and one iteration.
 
-    Element ``e`` is derived from SHA-256(key || iteration || e) and mapped
-    to a uniform value in [-MASK_BOUND, MASK_BOUND].  Both endpoints of the
-    pair compute bit-identical tensors; distinct iterations give fresh,
-    statistically independent tensors.
+    One call ``shake_256(key || iteration)`` (iteration as 8 big-endian
+    bytes) gives element ``e``, in C order, the big-endian 64-bit word ``k``
+    at bytes ``8e .. 8e+7``, mapped to ``(2 * (k / 2**64) - 1) * MASK_BOUND``
+    in [-MASK_BOUND, MASK_BOUND].  Both endpoints of the pair compute
+    bit-identical tensors; distinct iterations give fresh, statistically
+    independent tensors.  A pair draws one tensor per iteration.
     """
     if iteration < 1:
         raise ValueError(f"iteration must be >= 1, got {iteration}")
-    count = int(np.prod(shape)) if shape else 1
-    prefix = key.key_material + int(iteration).to_bytes(8, "big")
-    out = np.empty(count, dtype=np.float64)
-    for e in range(count):
-        digest = hashlib.sha256(prefix + e.to_bytes(8, "big")).digest()
-        u = int.from_bytes(digest[:8], "big") / 2.0**64
-        out[e] = (2.0 * u - 1.0) * MASK_BOUND
-    return out.reshape(shape)
+    seed = key.key_material + int(iteration).to_bytes(8, "big")
+    stream = hashlib.shake_256(seed).digest(8 * math.prod(shape))
+    words = np.frombuffer(stream, dtype=">u8")
+    return ((2.0 * (words / 2.0**64) - 1.0) * MASK_BOUND).reshape(shape)
 
 
 def apply_masks(
@@ -158,13 +157,12 @@ def apply_masks(
     if schedule.owner not in active:
         raise ValueError(f"schedule owner {schedule.owner!r} not in the active set")
     masked = to_exact(w)
-    for peer in active:
-        if peer == schedule.owner:
-            continue
-        key = schedule.key_for(peer)
-        mask = to_exact(mask_tensor(key, iteration, masked.shape))
-        if schedule.owner < peer:
-            masked = masked + mask
-        else:
-            masked = masked - mask
-    return masked
+    peers = [peer for peer in active if peer != schedule.owner]
+    if not peers:
+        return masked
+    stack = to_exact(np.stack([
+        (1.0 if schedule.owner < peer else -1.0)
+        * mask_tensor(schedule.key_for(peer), iteration, masked.shape)
+        for peer in peers
+    ]))
+    return masked + ExactMatrix(stack.num.sum(axis=0), stack.den)

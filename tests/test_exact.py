@@ -134,3 +134,21 @@ def test_arithmetic_contract():
         a / 0
     with pytest.raises(TypeError):
         a * 0.5
+
+
+def test_mismatched_shapes_raise_instead_of_broadcasting():
+    w = to_exact(np.array([[1.0, 0.25], [2.0, -3.0]]))
+    stack = to_exact(np.ones((3, 2, 2)))
+    for other in (stack, np.ones((3, 2, 2)), np.ones(2), to_exact(np.ones((1, 2)))):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            w + other
+        with pytest.raises(ValueError, match="shape mismatch"):
+            w - other
+        with pytest.raises(ValueError, match="shape mismatch"):
+            w == other
+    with pytest.raises(ValueError, match="shape mismatch"):
+        stack + w
+    # a 0-d operand still broadcasts: sum()'s start value, a number, a 0-d matrix
+    assert np.all(sum([w, w]) == w * 2)
+    assert np.all(w + 1.0 == w + np.ones((2, 2)))
+    assert np.all(w - to_exact(np.float64(0.25)) == w - np.full((2, 2), 0.25))

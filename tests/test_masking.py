@@ -1,9 +1,14 @@
 """Tests for key agreement and cancelling mask schedules."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fedsim.dp import DpSpec, SensitivityParams, perturb_weights
 from fedsim.exact import to_exact, to_float
 from fedsim.masking import (
     GROUP_GENERATOR,
@@ -152,6 +157,44 @@ class TestMaskTensor:
         assert np.any(mask_tensor(self.key, 1, (3, 3)) != mask_tensor(other, 1, (3, 3)))
 
 
+def reference_mask(key, iteration, shape):
+    """The documented derivation, element by element with Python ints."""
+    count = math.prod(shape)
+    seed = key.key_material + iteration.to_bytes(8, "big")
+    stream = hashlib.shake_256(seed).digest(8 * count)
+    values = [
+        (2.0 * (int.from_bytes(stream[8 * e : 8 * e + 8], "big") / 2.0**64) - 1.0)
+        * MASK_BOUND
+        for e in range(count)
+    ]
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+def reference_apply_masks(w, schedule, active, iteration):
+    """One lift and one exact add or subtract per peer mask."""
+    masked = to_exact(w)
+    for peer in active:
+        if peer == schedule.owner:
+            continue
+        mask = to_exact(mask_tensor(schedule.key_for(peer), iteration, masked.shape))
+        masked = masked + mask if schedule.owner < peer else masked - mask
+    return masked
+
+
+class TestMaskDerivation:
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4), (10, 51), (2, 3, 4)])
+    @pytest.mark.parametrize("iteration", [1, 2, 255, 2**40 + 3])
+    def test_known_answer_bit_identical(self, shape, iteration):
+        for key in (
+            CommonKey(pair=("a", "b"), key_material=bytes(range(32))),
+            CommonKey(pair=("a", "c"), key_material=hashlib.sha256(b"c").digest()),
+        ):
+            got = mask_tensor(key, iteration, shape)
+            want = reference_mask(key, iteration, shape)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestApplyMasks:
     def test_two_client_scalar_cancellation(self):
         names = ["client_agent0", "client_agent1"]
@@ -233,6 +276,45 @@ class TestApplyMasks:
         for n in active[1:]:
             total_raw = total_raw + to_exact(ws[n])
         assert np.all(total_masked == total_raw)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        active=st.lists(
+            st.sampled_from([f"client_agent{i}" for i in range(5)]),
+            min_size=1, max_size=5, unique=True,
+        ),
+        w=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 3), st.integers(1, 4)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        exact_w=st.booleans(),
+        iteration=st.integers(min_value=1, max_value=50),
+        data=st.data(),
+    )
+    @example(
+        active=["client_agent3"], w=np.array([[1.5, -2.5]]), exact_w=False,
+        iteration=1, data=None,
+    )
+    @example(
+        active=["client_agent2"], w=np.array([[0.25]]), exact_w=True,
+        iteration=4, data=None,
+    )
+    def test_matches_per_peer_reference(self, active, w, exact_w, iteration, data):
+        owner = active[0] if data is None else data.draw(st.sampled_from(active))
+        if exact_w:
+            # a noisy exact matrix, as the engine hands it to apply_masks
+            w, _ = perturb_weights(
+                w,
+                DpSpec("distributed_laplace", 1.0, placement="distributed"),
+                SensitivityParams(n=len(active), k=10, alpha=0.1),
+                np.random.default_rng(iteration),
+            )
+        schedule = _SCHEDULES_FOR_PROPERTY[owner]
+        got = apply_masks(w, schedule, active, iteration)
+        want = reference_apply_masks(w, schedule, active, iteration)
+        assert got.shape == want.shape == w.shape
+        assert np.all(got == want)
 
 
 # key agreement is slow enough to share across hypothesis examples
