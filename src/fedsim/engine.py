@@ -17,7 +17,7 @@ Message bodies use a closed set of kinds:
 ===================  ========================================
 kind                 body keys
 ===================  ========================================
-``public_key``       ``value`` (int)
+``public_key``       ``value`` (int), ``powers`` (its power table)
 ``weights_request``  none
 ``weights``          ``weights`` (matrix)
 ``round_start``      none (serverless)
@@ -210,7 +210,7 @@ class ClientAgent:
         self._key_rng = np.random.default_rng(key_seq)
 
         self._keypair = None
-        self._peer_publics: dict[str, int] = {}
+        self._peer_publics: dict[str, tuple[int, tuple[int, ...]]] = {}
         self.schedule: MaskSchedule | None = None
 
         self._clean: dict[int, np.ndarray] = {}
@@ -233,32 +233,37 @@ class ClientAgent:
         self._keypair = dh_generate(self._key_rng)
 
     def pubkey_envelope(self, peer: str) -> Envelope:
-        """Our public value, addressed to ``peer``."""
+        """Our public value and its power table, addressed to ``peer``."""
         if self._keypair is None:
-            self.generate_keys()
+            raise ProtocolError(f"{self.name} has no key pair to send")
         return Envelope(
             sender=self.name,
             recipient=peer,
             iteration=0,
-            body={"kind": "public_key", "value": self._keypair.public},
+            body={
+                "kind": "public_key",
+                "value": self._keypair.public,
+                "powers": self._keypair.powers,
+            },
             sim_time=0.0,
         )
 
     def receive_pubkey(self, env: Envelope) -> None:
         if env.sender in self._peer_publics:
             raise ProtocolError(f"duplicate public key from {env.sender!r}")
-        self._peer_publics[env.sender] = env.body["value"]
+        self._peer_publics[env.sender] = (env.body["value"], env.body["powers"])
 
     def initialize_common_keys(self) -> None:
         """Derive one common key per peer in the active view from the
         exchanged public values."""
-        assert self._keypair is not None
+        if self._keypair is None:
+            raise ProtocolError(f"{self.name} has no key pair")
         missing = set(self.active_view) - {self.name} - set(self._peer_publics)
         if missing:
             raise ProtocolError(f"missing public keys from {sorted(missing)}")
         keys = {
-            peer: dh_common_key(self._keypair, public, (self.name, peer))
-            for peer, public in self._peer_publics.items()
+            peer: dh_common_key(self._keypair, public, (self.name, peer), powers=powers)
+            for peer, (public, powers) in self._peer_publics.items()
         }
         self.schedule = MaskSchedule(owner=self.name, keys=keys)
 
@@ -610,13 +615,13 @@ class Simulation:
             return
         clients = [self.directory[name] for name in self.client_names]
         for client in clients:
-            client.generate_keys()
+            self._invoke(client.name, 0, client.generate_keys)
         for client in clients:
             for peer in self.client_names:
                 if peer != client.name:
                     self._deliver(client.pubkey_envelope(peer), "receive_pubkey")
         for client in clients:
-            client.initialize_common_keys()
+            self._invoke(client.name, 0, client.initialize_common_keys)
 
     def run_round(self, iteration: int, active: list[str] | None = None) -> IterationReport:
         """Drive one full iteration against the given (or current) active set."""

@@ -7,13 +7,30 @@ bits, inside the 220-320-bit range RFC 3526 section 8 gives for this group:
 p - 1 = 2q has no small factor for the short-exponent attacks of van
 Oorschot and Wiener to use, and Pollard's lambda method needs about
 2^(SECRET_BITS / 2) steps, more than the ~110-bit strength of the group.
-A short exponent makes each modular exponentiation about eight times
-cheaper than a full-width one.
 
-``dh_common_key`` checks its input twice: the peer's public value must lie
-in (1, p - 1), and the shared value must not be 1 or p - 1, the elements
-of the only small subgroup (order 2).  The shared value is hashed to a
-256-bit key.
+Every exponentiation is fixed-base (Yao's method, Brickell, Gordon,
+McCurley & Wilson, EUROCRYPT '92; HAC Algorithm 14.109): the base's table
+``T[i] = base^(16^i) mod p``, ``i < SECRET_BITS / 4``, turns a power into
+about 80 modular multiplications instead of the ~300 of square-and-multiply.
+A table costs ``SECRET_BITS - 4`` squarings, about one plain exponentiation,
+so it pays only for a base raised more than once.  The generator's table is
+a group constant built at import.  Each client builds the table of its own
+public value in ``dh_generate`` and sends it with the value, so each of its
+n - 1 peers pays only the cheap half.
+
+The peer's table is trusted like the rest of its messages: the simulator
+models honest-but-curious clients.  ``dh_common_key`` checks that the table
+has the right length and starts with the peer's public value, but not the
+entries after that.  A wrong table gives its receiver a key its sender does
+not hold, so it breaks only that pair's mask cancellation, which the mask
+cancellation acceptance test and the benchmark's report digest check catch.
+Against clients that are not honest a forged table could probe digits of
+the receiver's secret; such a deployment must build peer tables itself.
+
+``dh_common_key`` also checks its own secret, the peer's public value,
+which must lie in (1, p - 1), and the shared value, which must not be 1 or
+p - 1, the elements of the only small subgroup (order 2).  The shared value
+is hashed to a 256-bit key.
 
 For every later iteration each pair derives an identical mask tensor from
 one SHAKE-256 stream of key || iteration, one mask per pair per iteration,
@@ -28,7 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,13 +75,65 @@ MASK_BOUND = 1e6
 
 _GROUP_BYTES = (GROUP_PRIME.bit_length() + 7) // 8
 
+#: Exponent bits per table entry of a fixed-base power table.
+WINDOW_BITS = 4
+
+#: Entries of a fixed-base power table: one per digit of a secret.
+TABLE_SIZE = SECRET_BITS // WINDOW_BITS
+
+
+def power_table(base: int) -> tuple[int, ...]:
+    """The fixed-base table ``T[i] = base^(16^i) mod p`` for i < TABLE_SIZE.
+
+    Costs ``SECRET_BITS - WINDOW_BITS`` modular squarings.
+    """
+    table = [base]
+    for _ in range(TABLE_SIZE - 1):
+        x = table[-1]
+        for _ in range(WINDOW_BITS):
+            x = x * x % GROUP_PRIME
+        table.append(x)
+    return tuple(table)
+
+
+def fixed_base_pow(powers: tuple[int, ...], exponent: int) -> int:
+    """``powers[0]^exponent mod p`` from the base's ``power_table``.
+
+    Writes the exponent in base 16, ``e = sum(e_i * 16^i)``, so the power
+    is ``prod(T[i]^e_i) = prod over d of (prod of T[i] with e_i = d)^d``.
+    Running products from the top digit down give that with one
+    multiplication per nonzero digit and one per digit value: at most
+    TABLE_SIZE + 15 modular multiplications.
+    """
+    if not 0 <= exponent < 1 << (WINDOW_BITS * len(powers)):
+        raise ValueError("exponent outside the range of the power table")
+    top = (1 << WINDOW_BITS) - 1  # the largest digit
+    by_digit: list[list[int]] = [[] for _ in range(top + 1)]
+    for i, power in enumerate(powers):
+        by_digit[(exponent >> (WINDOW_BITS * i)) & top].append(power)
+    acc = result = 1
+    for digit in range(top, 0, -1):
+        for power in by_digit[digit]:
+            acc = acc * power % GROUP_PRIME
+        result = result * acc % GROUP_PRIME
+    return result
+
+
+_GENERATOR_POWERS = power_table(GROUP_GENERATOR)
+
 
 @dataclass(frozen=True)
 class DhKeyPair:
-    """A Diffie-Hellman secret and its public value g^secret mod p."""
+    """A Diffie-Hellman secret, its public value g^secret mod p and the
+    public value's ``power_table``, which travels with the value to peers.
+
+    ``dh_generate`` always fills ``powers``; only a pair that never sends
+    its public value may leave it empty.
+    """
 
     secret: int
     public: int
+    powers: tuple[int, ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -96,27 +165,47 @@ class MaskSchedule:
 
 
 def dh_generate(rng: np.random.Generator) -> DhKeyPair:
-    """Generate a key pair with the secret uniform over [2, 2**SECRET_BITS)."""
+    """Generate a key pair with the secret uniform over [2, 2**SECRET_BITS),
+    and the power table of its public value."""
     while True:
         secret = int.from_bytes(rng.bytes(SECRET_BITS // 8), "big")
         if secret >= 2:
             break
-    return DhKeyPair(secret=secret, public=pow(GROUP_GENERATOR, secret, GROUP_PRIME))
+    public = fixed_base_pow(_GENERATOR_POWERS, secret)
+    return DhKeyPair(secret=secret, public=public, powers=power_table(public))
 
 
 def dh_common_key(
-    own: DhKeyPair, other_public: int, pair: tuple[str, str] = ("", "")
+    own: DhKeyPair,
+    other_public: int,
+    pair: tuple[str, str] = ("", ""),
+    *,
+    powers: tuple[int, ...] = (),
 ) -> CommonKey:
-    """Derive the shared 256-bit key from our secret and a peer's public value.
+    """Derive the shared 256-bit key from our secret and a peer's public
+    value, exponentiating over ``powers``, the peer's table of its value.
 
     Symmetric by construction: both endpoints hash the same g^(a*b) mod p.
-    Raises ValueError for a public value outside (1, p-1) and for a
-    degenerate shared value (1 or p-1).
+    Raises ValueError for a secret that is a multiple of q or outside
+    [2, 2**SECRET_BITS), a public value outside (1, p-1), a table that is
+    not TABLE_SIZE long or does not start with the public value, and a
+    degenerate shared value (outside (1, p-1)).
     """
+    # The group has order 2q, and only 1 and p-1 have order 1 or 2, so every
+    # y in (1, p-1) has order q or 2q.  y^s is 1 or p-1 exactly when
+    # y^(2s) = 1, that is when the order of y divides 2s: when q divides s.
+    if own.secret % GROUP_ORDER == 0:
+        raise ValueError("degenerate shared value: key agreement yields no secret")
+    if not 2 <= own.secret < 1 << SECRET_BITS:
+        raise ValueError("own secret outside [2, 2**SECRET_BITS)")
     if not 1 < other_public < GROUP_PRIME - 1:
         raise ValueError("peer public value outside the valid group range")
-    shared = pow(other_public, own.secret, GROUP_PRIME)
-    if shared in (1, GROUP_PRIME - 1):
+    if len(powers) != TABLE_SIZE:
+        raise ValueError(f"peer power table has {len(powers)} entries, not {TABLE_SIZE}")
+    if powers[0] != other_public:
+        raise ValueError("peer power table does not start with its public value")
+    shared = fixed_base_pow(powers, own.secret)
+    if not 1 < shared < GROUP_PRIME - 1:
         raise ValueError("degenerate shared value: key agreement yields no secret")
     material = hashlib.sha256(shared.to_bytes(_GROUP_BYTES, "big")).digest()
     return CommonKey(pair=tuple(sorted(pair)), key_material=material)

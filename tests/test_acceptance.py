@@ -71,7 +71,12 @@ def test_c02_mask_cancellation_oracle():
                 a: MaskSchedule(
                     owner=a,
                     keys={
-                        b: dh_common_key(keypairs[a], keypairs[b].public, (a, b))
+                        b: dh_common_key(
+                            keypairs[a],
+                            keypairs[b].public,
+                            (a, b),
+                            powers=keypairs[b].powers,
+                        )
                         for b in names
                         if b != a
                     },

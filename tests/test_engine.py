@@ -19,6 +19,7 @@ from fedsim.engine import (
     run_simulation,
 )
 from fedsim.exact import exact_mean, to_exact, to_float
+from fedsim.masking import GROUP_PRIME
 from fedsim.models import federated_average
 
 PAPER_LATENCIES = {
@@ -111,6 +112,28 @@ class TestOfflinePhase:
         sim = make_simulation(use_security=False)
         sim.offline_phase()
         assert sim.counters.offline_client_client == 0
+
+    def test_rejected_public_value_names_client_and_iteration(self):
+        sim = make_simulation(use_security=True)
+        victim = sim.directory["client_agent2"]
+        receive = victim.receive_pubkey
+
+        def receive_forged(env):
+            if env.sender == "client_agent0":
+                body = {**env.body, "value": GROUP_PRIME - 1}
+                env = Envelope(env.sender, env.recipient, 0, body, env.sim_time)
+            receive(env)
+
+        victim.receive_pubkey = receive_forged
+        with pytest.raises(
+            SimulationError, match="'client_agent2' failed during iteration 0"
+        ):
+            sim.offline_phase()
+
+    def test_public_key_sent_only_after_generation(self):
+        sim = make_simulation(use_security=True)
+        with pytest.raises(ProtocolError, match="no key pair"):
+            sim.directory["client_agent0"].pubkey_envelope("client_agent1")
 
 
 class TestServerRound:

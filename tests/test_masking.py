@@ -16,13 +16,16 @@ from fedsim.masking import (
     GROUP_PRIME,
     MASK_BOUND,
     SECRET_BITS,
+    TABLE_SIZE,
     CommonKey,
     DhKeyPair,
     MaskSchedule,
     apply_masks,
     dh_common_key,
     dh_generate,
+    fixed_base_pow,
     mask_tensor,
+    power_table,
 )
 
 
@@ -33,7 +36,9 @@ def make_schedules(names, seed=0):
     schedules = {}
     for a in names:
         keys = {
-            b: dh_common_key(keypairs[a], keypairs[b].public, (a, b))
+            b: dh_common_key(
+                keypairs[a], keypairs[b].public, (a, b), powers=keypairs[b].powers
+            )
             for b in names
             if b != a
         }
@@ -67,6 +72,12 @@ class TestKeyGeneration:
             assert 2 <= pair.secret < 2**256
             assert pow(2, pair.secret, GROUP_PRIME) == pair.public
 
+    def test_power_table_of_the_public_value(self):
+        pair = dh_generate(np.random.default_rng(8))
+        assert len(pair.powers) == TABLE_SIZE == SECRET_BITS // 4
+        for i, power in enumerate(pair.powers):
+            assert power == pow(pair.public, 16**i, GROUP_PRIME)
+
     def test_identical_seeds_identical_pairs(self):
         a = dh_generate(np.random.default_rng(123))
         b = dh_generate(np.random.default_rng(123))
@@ -77,13 +88,48 @@ class TestKeyGeneration:
         assert len(secrets) == 100
 
 
+# exponents the digit-bucketing routine handles at its edges: all digits
+# zero or fifteen, one nonzero digit, and a few scattered bits
+_EXPONENTS = st.one_of(
+    st.sampled_from([0, 1, 2**SECRET_BITS - 1]),
+    st.builds(
+        lambda digit, place: digit << (4 * place),
+        st.integers(1, 15),
+        st.integers(0, TABLE_SIZE - 1),
+    ),
+    st.sets(st.integers(0, SECRET_BITS - 1), max_size=4).map(
+        lambda bits: sum(1 << b for b in bits)
+    ),
+    st.integers(0, 2**SECRET_BITS - 1),
+)
+
+
+class TestFixedBasePow:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=st.integers(2, GROUP_PRIME - 2),
+        exponents=st.lists(_EXPONENTS, min_size=1, max_size=4),
+    )
+    @example(base=GROUP_GENERATOR, exponents=[0, 1, 2**SECRET_BITS - 1, 15 << 252])
+    @example(base=GROUP_PRIME - 2, exponents=[2, 2**SECRET_BITS - 2])
+    def test_equals_pow(self, base, exponents):
+        powers = power_table(base)
+        for exponent in exponents:
+            assert fixed_base_pow(powers, exponent) == pow(base, exponent, GROUP_PRIME)
+
+    @pytest.mark.parametrize("exponent", [-1, 2**SECRET_BITS])
+    def test_exponent_outside_table_rejected(self, exponent):
+        with pytest.raises(ValueError, match="outside the range"):
+            fixed_base_pow(power_table(GROUP_GENERATOR), exponent)
+
+
 class TestCommonKey:
     def test_symmetry_over_many_pairs(self):
         rng = np.random.default_rng(77)
         for _ in range(50):
             a, b = dh_generate(rng), dh_generate(rng)
-            k_ab = dh_common_key(a, b.public, ("x", "y"))
-            k_ba = dh_common_key(b, a.public, ("y", "x"))
+            k_ab = dh_common_key(a, b.public, ("x", "y"), powers=b.powers)
+            k_ba = dh_common_key(b, a.public, ("y", "x"), powers=a.powers)
             assert k_ab.key_material == k_ba.key_material
 
     @pytest.mark.parametrize("bad", [0, 1, GROUP_PRIME - 1, GROUP_PRIME, GROUP_PRIME + 5])
@@ -110,18 +156,54 @@ class TestCommonKey:
         with pytest.raises(ValueError, match="degenerate shared value"):
             dh_common_key(own, other_public)
 
+    @pytest.mark.parametrize("secret", [1, 2**SECRET_BITS])
+    def test_secret_outside_range_rejected(self, secret):
+        own = DhKeyPair(secret=secret, public=pow(GROUP_GENERATOR, secret, GROUP_PRIME))
+        other = dh_generate(np.random.default_rng(6))
+        with pytest.raises(ValueError, match="secret outside"):
+            dh_common_key(own, other.public, powers=other.powers)
+
+    def test_table_must_match_public_value(self):
+        rng = np.random.default_rng(10)
+        own, other, third = dh_generate(rng), dh_generate(rng), dh_generate(rng)
+        with pytest.raises(ValueError, match="does not start with its public value"):
+            dh_common_key(own, other.public, powers=third.powers)
+        for powers in ((), other.powers[:-1], other.powers + (1,)):
+            with pytest.raises(ValueError, match="entries"):
+                dh_common_key(own, other.public, powers=powers)
+
+    def test_table_entry_of_zero_rejected(self):
+        # only T[0] is checked against the public value; a zero entry
+        # further on makes the shared value 0
+        rng = np.random.default_rng(11)
+        own, other = dh_generate(rng), dh_generate(rng)
+        forged = (other.public,) + (0,) * (TABLE_SIZE - 1)
+        with pytest.raises(ValueError, match="degenerate shared value"):
+            dh_common_key(own, other.public, powers=forged)
+
+    def test_key_material_equals_pow_oracle(self):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            own, other = dh_generate(rng), dh_generate(rng)
+            shared = pow(other.public, own.secret, GROUP_PRIME)
+            expected = hashlib.sha256(shared.to_bytes(256, "big")).digest()
+            key = dh_common_key(own, other.public, powers=other.powers)
+            assert key.key_material == expected
+
     def test_key_material_is_256_bits(self):
         own, other = dh_generate(np.random.default_rng(2)), dh_generate(
             np.random.default_rng(3)
         )
-        key = dh_common_key(own, other.public)
+        key = dh_common_key(own, other.public, powers=other.powers)
         assert len(key.key_material) == 32
 
     def test_pair_is_sorted(self):
         own, other = dh_generate(np.random.default_rng(4)), dh_generate(
             np.random.default_rng(5)
         )
-        key = dh_common_key(own, other.public, ("b_agent", "a_agent"))
+        key = dh_common_key(
+            own, other.public, ("b_agent", "a_agent"), powers=other.powers
+        )
         assert key.pair == ("a_agent", "b_agent")
 
 
