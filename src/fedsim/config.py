@@ -73,9 +73,6 @@ class SimConfig:
     def client_names(self) -> list[str]:
         return [f"client_agent{i}" for i in range(self.num_clients)]
 
-    def train_config(self) -> TrainConfig:
-        return self.train
-
     def latency_entries(self) -> dict[tuple[str, str], float]:
         return {
             (sender, recipient): float(value)
@@ -111,12 +108,6 @@ class SimConfig:
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["train"] = {
-            "local_steps": self.train.local_steps,
-            "learning_rate": self.train.learning_rate,
-            "l2_alpha": self.train.l2_alpha,
-            "batch_size": self.train.batch_size,
-        }
         out["compute"] = {
             "client_s": out.pop("client_compute_s"),
             "server_s": out.pop("server_compute_s"),

@@ -34,14 +34,13 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .dp import DpSpec, NoiseRecord, SensitivityParams, perturb_weights
-from .exact import exact_mean, to_float
+from .dp import NoiseRecord, SensitivityParams, perturb_weights
+from .exact import ExactMatrix, exact_mean, to_float
 from .masking import MaskSchedule, apply_masks, dh_common_key, dh_generate
 from .models import (
     ClientRound,
     Dataset,
     EvalReport,
-    TrainConfig,
     client_round_incremental,
     client_round_retrain,
     converged,
@@ -137,73 +136,69 @@ def round_sensitivity(
     active: list[str],
     iteration: int,
     alpha: float,
-    default_k: int | None = None,
 ) -> SensitivityParams:
     """Sensitivity parameters in force for one iteration's active set.
 
     ``n`` is the number of active clients and ``k`` the smallest dataset
     size among them this iteration (Chaudhuri, Monteleoni & Sarwate 2011).
-    Clients missing from ``size_schedule`` are skipped; when none is
-    present, ``k`` falls back to ``default_k``.
     """
-    sizes = [size_schedule[c][iteration - 1] for c in active if c in size_schedule]
-    if not sizes and default_k is None:
-        raise ValueError(f"no dataset sizes known for active set {active}")
-    return SensitivityParams(
-        n=len(active), k=min(sizes) if sizes else default_k, alpha=alpha
-    )
+    k = min(size_schedule[c][iteration - 1] for c in active)
+    return SensitivityParams(n=len(active), k=k, alpha=alpha)
+
+
+def federated_mean(
+    contributions: Mapping[str, Any],
+    iteration: int,
+    size_schedule: Mapping[str, list[int]],
+    weighted: bool,
+) -> ExactMatrix:
+    """Exact mean of the contributions in name order, weighted by this
+    iteration's dataset sizes when ``weighted``."""
+    order = sorted(contributions)
+    sizes = [size_schedule[c][iteration - 1] for c in order] if weighted else None
+    return exact_mean([contributions[c] for c in order], weights=sizes)
 
 
 class ClientAgent:
     """A training participant: owns data, weights, noise records and keys.
 
-    Names follow the ``client_agent<k>`` pattern.  Each client derives
-    three independent child streams from its seed (training batches, DP
-    noise, key generation) so that toggling one feature never perturbs the
-    random sequence of another.
+    Names follow the ``client_agent<k>`` pattern, where ``k`` is the
+    client's ``index`` in the configuration.  Every setting is read from
+    the run's validated ``SimConfig`` where it is used; the size schedule
+    and the latency table are the simulation's own, shared by all agents.
+    Each client derives three independent child streams from its seed
+    (training batches, DP noise, key generation) so that toggling one
+    feature never perturbs the random sequence of another.
     """
 
     def __init__(
         self,
         name: str,
+        index: int,
+        config,
         datasets: list[Dataset],
         test_set: Dataset,
         n_classes: int,
-        train_cfg: TrainConfig,
-        algorithm: str,
-        seed: int,
-        *,
-        tolerance: float,
-        dp_spec: DpSpec | None = None,
-        use_security: bool = False,
-        subtract_dp_noise: bool = False,
-        weighted_averaging: bool = False,
-        size_schedule: Mapping[str, list[int]] | None = None,
-        latencies: LatencyTable | None = None,
-        compute_override: float | None = None,
+        size_schedule: Mapping[str, list[int]],
+        latencies: LatencyTable,
     ):
-        if algorithm not in ("incremental", "retrain"):
-            raise ValueError(f"unknown algorithm {algorithm!r}")
         self.name = name
+        self.config = config
         self.datasets = datasets
         self.test_set = test_set
-        self.train_cfg = train_cfg
-        self.algorithm = algorithm
-        self.tolerance = tolerance
-        self.dp_spec = dp_spec
-        self.use_security = use_security
-        self.subtract_dp_noise = subtract_dp_noise
-        self.weighted_averaging = weighted_averaging
-        self.size_schedule = dict(size_schedule or {})
+        self.size_schedule = size_schedule
         self.latencies = latencies
-        self.compute_override = compute_override
+        # Server-placed noise is added by the server, not here.
+        self.dp_spec = (
+            config.dp_spec_for(index) if config.dp_placement != "global_server" else None
+        )
 
         n_features = test_set.features.shape[1]
         self.active = True
-        self.active_view: list[str] = [name]
+        self.active_view: list[str] = sorted(config.client_names())
         self.federated_weights = zero_weights(n_classes, n_features)
 
-        seq = np.random.SeedSequence(seed)
+        seq = np.random.SeedSequence(config.seeds[index])
         train_seq, noise_seq, key_seq = seq.spawn(3)
         self._train_rng = np.random.default_rng(train_seq)
         self._noise_rng = np.random.default_rng(noise_seq)
@@ -255,7 +250,8 @@ class ClientAgent:
 
     def initialize_common_keys(self) -> None:
         """Derive one common key per peer in the active view from the
-        exchanged public values."""
+        exchanged public values, then drop the key pair and the peers'
+        public values: nothing reads them after the agreement."""
         if self._keypair is None:
             raise ProtocolError(f"{self.name} has no key pair")
         missing = set(self.active_view) - {self.name} - set(self._peer_publics)
@@ -266,19 +262,10 @@ class ClientAgent:
             for peer, (public, powers) in self._peer_publics.items()
         }
         self.schedule = MaskSchedule(owner=self.name, keys=keys)
+        self._keypair = None
+        self._peer_publics = {}
 
     # -- online phase ----------------------------------------------------
-
-    def _latency(self, sender: str, recipient: str) -> float:
-        if self.latencies is None:
-            return 0.0
-        return self.latencies.latency(sender, recipient)
-
-    def _client_dp(self) -> DpSpec | None:
-        # Server-placed noise is added by the server, not here.
-        if self.dp_spec is None or self.dp_spec.placement == "global_server":
-            return None
-        return self.dp_spec
 
     def _train_and_mask(self, env: Envelope) -> tuple[np.ndarray, float]:
         iteration = env.iteration
@@ -288,30 +275,27 @@ class ClientAgent:
             )
         data = self.datasets[iteration - 1]
         started = time.perf_counter()
-        dp = self._client_dp()
-        sens = (
-            round_sensitivity(
-                self.size_schedule, self.active_view, iteration,
-                self.train_cfg.l2_alpha, default_k=len(data),
+        cfg = self.config
+        sens = None
+        if self.dp_spec is not None:
+            sens = round_sensitivity(
+                self.size_schedule, self.active_view, iteration, cfg.train.l2_alpha
             )
-            if dp is not None
-            else None
-        )
-        if self.algorithm == "incremental":
+        if cfg.algorithm == "incremental":
             result = client_round_incremental(
-                self.federated_weights, data, self.train_cfg, dp, sens,
+                self.federated_weights, data, cfg.train, self.dp_spec, sens,
                 self._train_rng, self._noise_rng, iteration, self.name,
             )
         else:
             result = client_round_retrain(
-                self.federated_weights, data, self._cache, self.tolerance,
-                self.train_cfg, dp, sens,
+                self.federated_weights, data, self._cache, cfg.tolerance,
+                cfg.train, self.dp_spec, sens,
                 self._train_rng, self._noise_rng, iteration, self.name,
             )
             self._cache = result
         self._clean[iteration] = result.clean
         self._records[iteration] = result.record
-        if self.use_security:
+        if cfg.use_security:
             if self.schedule is None:
                 raise ProtocolError(f"{self.name} has no mask schedule")
             outgoing = apply_masks(
@@ -320,8 +304,8 @@ class ClientAgent:
         else:
             outgoing = result.weights
         duration = (
-            self.compute_override
-            if self.compute_override is not None
+            cfg.client_compute_s
+            if cfg.client_compute_s is not None
             else time.perf_counter() - started
         )
         self._compute[iteration] = duration
@@ -333,13 +317,14 @@ class ClientAgent:
         if not self.active:
             raise ProtocolError(f"inactive client {self.name!r} asked to produce weights")
         outgoing, duration = self._train_and_mask(env)
-        reply_time = advance_time([env], duration, self._latency(self.name, env.sender))
         return Envelope(
             sender=self.name,
             recipient=env.sender,
             iteration=env.iteration,
             body={"kind": "weights", "weights": outgoing},
-            sim_time=reply_time,
+            sim_time=advance_time(
+                [env], duration, self.latencies.latency(self.name, env.sender)
+            ),
         )
 
     def receive_weights(self, env: Envelope) -> bool:
@@ -351,8 +336,8 @@ class ClientAgent:
                 f"expected {self._current_iteration}"
             )
         fed = env.body["weights"]
-        record = self._records[iteration]
-        if self.subtract_dp_noise:
+        record = self._records.pop(iteration)
+        if self.config.subtract_dp_noise:
             fed = subtract_own_noise(fed, record, len(self.active_view))
         fed_f = to_float(fed)
         self.federated_weights = fed_f
@@ -362,9 +347,8 @@ class ClientAgent:
             local_accuracy=evaluate(local, self.test_set),
             federated_accuracy=evaluate(fed_f, self.test_set),
         )
-        del self._records[iteration]
         self._receipts[iteration] = env.sim_time
-        return converged(local, fed_f, self.tolerance)
+        return converged(local, fed_f, self.config.tolerance)
 
     def remove_active_clients(self, env: Envelope) -> None:
         """End-of-iteration dropout announcement: shrink the active view."""
@@ -381,8 +365,7 @@ class ClientAgent:
         if not self.active:
             raise ProtocolError(f"inactive client {self.name!r} asked to broadcast")
         outgoing, duration = self._train_and_mask(env)
-        dispatch = env.sim_time + duration
-        self._own_contribution[env.iteration] = (outgoing, dispatch)
+        self._own_contribution[env.iteration] = (outgoing, env.sim_time + duration)
         envelopes = {}
         for peer in self.active_view:
             if peer == self.name:
@@ -392,7 +375,9 @@ class ClientAgent:
                 recipient=peer,
                 iteration=env.iteration,
                 body={"kind": "weights", "weights": outgoing},
-                sim_time=advance_time([env], duration, self._latency(self.name, peer)),
+                sim_time=advance_time(
+                    [env], duration, self.latencies.latency(self.name, peer)
+                ),
             )
         return envelopes
 
@@ -410,17 +395,12 @@ class ClientAgent:
                 f"{self.name} is missing iteration-{iteration} weights "
                 f"from {sorted(missing)}"
             )
-        contributions = {self.name: own_weights}
-        contributions.update(
-            {peer: received[peer].body["weights"] for peer in expected}
+        contributions = {peer: received[peer].body["weights"] for peer in expected}
+        contributions[self.name] = own_weights
+        fed = federated_mean(
+            contributions, iteration, self.size_schedule,
+            self.config.weighted_averaging,
         )
-        order = sorted(contributions)
-        sizes = (
-            [self.size_schedule[c][iteration - 1] for c in order]
-            if self.weighted_averaging
-            else None
-        )
-        fed = exact_mean([contributions[c] for c in order], weights=sizes)
         receipt = max([own_ready] + [received[p].sim_time for p in expected])
         synthetic = Envelope(
             sender=self.name,
@@ -447,40 +427,37 @@ class ClientAgent:
 
 
 class ServerAgent:
-    """Coordinates centralized rounds; trains nothing itself."""
+    """Coordinates centralized rounds; trains nothing itself.
 
-    def __init__(
-        self,
-        name: str = SERVER_NAME,
-        *,
-        compute_override: float | None = None,
-        global_dp_for: Callable[[list[str]], DpSpec | None] | None = None,
-        sens_for: Callable[[int, list[str]], SensitivityParams] | None = None,
-        noise_seed: int = 0,
-    ):
-        self.name = name
-        self.compute_override = compute_override
-        self.global_dp_for = global_dp_for
-        self.sens_for = sens_for
-        self._noise_rng = np.random.default_rng(np.random.SeedSequence(noise_seed))
+    Like the clients, it reads the run's ``SimConfig`` and shares the
+    simulation's one size schedule; the simulation stamps the server's
+    envelopes from the same latency table the clients use.  Its noise
+    stream is seeded from ``config.server_seed``.
+    """
+
+    def __init__(self, config, size_schedule: Mapping[str, list[int]]):
+        self.name = SERVER_NAME
+        self.config = config
+        self.size_schedule = size_schedule
+        self._noise_rng = np.random.default_rng(np.random.SeedSequence(config.server_seed))
 
     def aggregate(
         self,
         replies: Mapping[str, Envelope],
         iteration: int,
         active: list[str],
-        sizes: list[int] | None = None,
-    ) -> np.ndarray:
+    ) -> ExactMatrix:
         """Average the received matrices (canonical order, optionally
         dataset-size weighted), then add server-placed noise if configured."""
-        fed = exact_mean(
-            [replies[c].body["weights"] for c in sorted(active)], weights=sizes
+        fed = federated_mean(
+            {c: replies[c].body["weights"] for c in active},
+            iteration, self.size_schedule, self.config.weighted_averaging,
         )
-        spec = self.global_dp_for(active) if self.global_dp_for is not None else None
+        spec = self.config.global_dp_for(active)
         if spec is not None:
-            sens = self.sens_for(iteration, active) if self.sens_for else None
-            if sens is None:
-                raise SimulationError("server-placed noise requires sensitivity params")
+            sens = round_sensitivity(
+                self.size_schedule, active, iteration, self.config.train.l2_alpha
+            )
             fed, _ = perturb_weights(
                 fed, spec, sens, self._noise_rng, iteration, self.name
             )
@@ -510,7 +487,7 @@ class Simulation:
         self.config = config
         self.counters = MessageCounters()
 
-        names = [f"client_agent{i}" for i in range(config.num_clients)]
+        names = config.client_names()
         self.client_names = names
         all_names = names + ([SERVER_NAME] if config.topology == "centralized" else [])
         if config.simulate_latencies:
@@ -527,36 +504,14 @@ class Simulation:
         self.directory: dict[str, Any] = {}
         for i, name in enumerate(names):
             self.directory[name] = ClientAgent(
-                name=name,
-                datasets=client_datasets[i],
-                test_set=test_set,
-                n_classes=n_classes,
-                train_cfg=config.train_config(),
-                algorithm=config.algorithm,
-                seed=config.seeds[i],
-                tolerance=config.tolerance,
-                dp_spec=config.dp_spec_for(i),
-                use_security=config.use_security,
-                subtract_dp_noise=config.subtract_dp_noise,
-                weighted_averaging=config.weighted_averaging,
-                size_schedule=size_schedule,
-                latencies=self.latencies,
-                compute_override=config.client_compute_s,
+                name, i, config, client_datasets[i], test_set, n_classes,
+                size_schedule, self.latencies,
             )
-            self.directory[name].sync_active_view(names)
         self.server: ServerAgent | None = None
         if config.topology == "centralized":
-            self.server = ServerAgent(
-                compute_override=config.server_compute_s,
-                global_dp_for=config.global_dp_for,
-                sens_for=lambda iteration, active: round_sensitivity(
-                    size_schedule, active, iteration, config.train.l2_alpha
-                ),
-                noise_seed=config.server_seed,
-            )
+            self.server = ServerAgent(config, size_schedule)
             self.directory[SERVER_NAME] = self.server
         self.active = sorted(names)
-        self._size_schedule = size_schedule
 
     @staticmethod
     def _count_classes(client_datasets: list[list[Dataset]], test_set: Dataset) -> int:
@@ -656,15 +611,10 @@ class Simulation:
             replies[c] = self._deliver(reply)  # held here for the server
 
         started = time.perf_counter()
-        sizes = (
-            [self._size_schedule[c][iteration - 1] for c in sorted(active)]
-            if self.config.weighted_averaging
-            else None
-        )
-        fed = server.aggregate(replies, iteration, active, sizes=sizes)
+        fed = server.aggregate(replies, iteration, active)
         server_dur = (
-            server.compute_override
-            if server.compute_override is not None
+            self.config.server_compute_s
+            if self.config.server_compute_s is not None
             else time.perf_counter() - started
         )
         incoming = list(replies.values())

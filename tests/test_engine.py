@@ -18,8 +18,9 @@ from fedsim.engine import (
     advance_time,
     run_simulation,
 )
+from fedsim.dp import laplace_sample
 from fedsim.exact import exact_mean, to_exact, to_float
-from fedsim.masking import GROUP_PRIME
+from fedsim.masking import GROUP_PRIME, DhKeyPair
 from fedsim.models import federated_average
 
 PAPER_LATENCIES = {
@@ -134,6 +135,23 @@ class TestOfflinePhase:
         sim = make_simulation(use_security=True)
         with pytest.raises(ProtocolError, match="no key pair"):
             sim.directory["client_agent0"].pubkey_envelope("client_agent1")
+
+    def test_key_material_dropped_after_agreement(self):
+        sim = make_simulation(use_security=True)
+        sim.offline_phase()
+        for name in sim.client_names:
+            client = sim.directory[name]
+            with pytest.raises(ProtocolError, match="no key pair"):
+                client.pubkey_envelope(next(c for c in sim.client_names if c != name))
+            assert not any(isinstance(v, DhKeyPair) for v in vars(client).values())
+            assert not client._peer_publics
+            assert sorted(client.schedule.keys) == [c for c in sim.client_names if c != name]
+        # the common keys alone still cancel the masks
+        sim.run_round(1)
+        clean = [sim.directory[c].clean_weights(1) for c in sim.client_names]
+        expected = to_float(exact_mean(clean))
+        for c in sim.client_names:
+            assert np.array_equal(sim.directory[c].federated_weights, expected)
 
 
 class TestServerRound:
@@ -361,6 +379,60 @@ class TestNoiseSubtraction:
         sim.run_round(1)
         client = sim.directory["client_agent0"]
         assert np.array_equal(client.federated_weights, client.clean_weights(1))
+
+
+CALIBRATION_SIZES = [[10] * 3, [20] * 3, [50] * 3]
+
+
+class TestNoiseCalibration:
+    """Noise that reaches an aggregate is drawn at the round's (n, k, epsilon)."""
+
+    def test_server_noise_follows_the_active_set(self):
+        sim = make_simulation(
+            use_dp_privacy=True,
+            mechanism="laplace",
+            dp_placement="global_server",
+            epsilons=[1.0, 2.0, 0.5],
+            server_seed=9,
+            dataset_sizes=CALIBRATION_SIZES,
+        )
+        alpha = sim.config.train.l2_alpha
+        rng = np.random.default_rng(np.random.SeedSequence(9))
+        sim.offline_phase()
+        rounds = [
+            (1, sim.client_names, 10, 0.5),
+            (2, ["client_agent1", "client_agent2"], 20, 0.5),
+        ]
+        for iteration, active, k, epsilon in rounds:
+            sim.run_round(iteration, active)
+            clean = exact_mean([sim.directory[c].clean_weights(iteration) for c in active])
+            scale = 2.0 / (len(active) * k * alpha) / epsilon
+            noise = laplace_sample(scale, rng, clean.shape)
+            expected = to_float(clean + to_exact(noise))
+            for c in active:
+                assert np.array_equal(sim.directory[c].federated_weights, expected)
+
+    def test_local_noise_uses_the_smallest_active_dataset(self):
+        sim = make_simulation(
+            use_dp_privacy=True,
+            mechanism="laplace",
+            dp_placement="local",
+            epsilons=[1.0, 2.0, 0.5],
+            dataset_sizes=CALIBRATION_SIZES,
+        )
+        client = sim.directory["client_agent2"]
+        assert len(client.datasets[0]) == 50
+        sim.offline_phase()
+        reply = client.produce_weights(
+            Envelope("server_agent0", "client_agent2", 1, {"kind": "weights_request"}, 0.0)
+        )
+        _, noise_seq, _ = np.random.SeedSequence(sim.config.seeds[2]).spawn(3)
+        clean = client.clean_weights(1)
+        scale = 2.0 / (3 * 10 * sim.config.train.l2_alpha) / 0.5
+        noise = laplace_sample(scale, np.random.default_rng(noise_seq), clean.shape)
+        assert np.array_equal(
+            to_float(reply.body["weights"]), to_float(to_exact(clean) + to_exact(noise))
+        )
 
 
 class TestServerlessRound:
