@@ -15,7 +15,6 @@ from .config import (
 )
 from .dp import (
     DpSpec,
-    NoiseRecord,
     SensitivityParams,
     gamma_difference_share,
     gaussian_sample,
@@ -33,7 +32,6 @@ from .engine import (
     ServerAgent,
     Simulation,
     SimulationError,
-    advance_time,
     round_sensitivity,
     run_simulation,
 )
@@ -56,7 +54,6 @@ from .models import (
     client_round_retrain,
     converged,
     evaluate,
-    federated_average,
     gradient,
     loss,
     sgd_train,

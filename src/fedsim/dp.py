@@ -73,18 +73,6 @@ class SensitivityParams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
-@dataclass
-class NoiseRecord:
-    """The exact noise matrix an agent added, kept for later subtraction."""
-
-    values: np.ndarray
-    iteration: int = 0
-    owner: str = ""
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-
-
 def logreg_sensitivity(params: SensitivityParams) -> float:
     """Global sensitivity 2 / (n * k * alpha) of the trained weights."""
     return 2.0 / (params.n * params.k * params.alpha)
@@ -153,13 +141,11 @@ def perturb_weights(
     spec: DpSpec,
     sens: SensitivityParams,
     rng: np.random.Generator,
-    iteration: int = 0,
-    owner: str = "",
-) -> tuple[ExactMatrix, NoiseRecord]:
-    """Add mechanism noise to a weight matrix, returning the exact record.
+) -> tuple[ExactMatrix, np.ndarray]:
+    """Add mechanism noise to a weight matrix, returning the noise added.
 
     ``w`` may be a float array or an exact matrix.  The perturbed matrix
-    is exact, so ``perturbed - record.values`` recovers ``w`` bit for bit.
+    is exact, so ``perturbed - noise`` recovers ``w`` bit for bit.
     ``w`` itself is not modified.
     """
     w = to_exact(w)
@@ -174,4 +160,4 @@ def perturb_weights(
         noise = gaussian_sample(delta_f, spec.epsilon, spec.delta, rng, size=w.shape)
     noise = np.asarray(noise, dtype=np.float64)
     perturbed = w + to_exact(noise)
-    return perturbed, NoiseRecord(values=noise, iteration=iteration, owner=owner)
+    return perturbed, noise

@@ -9,8 +9,11 @@ Clients compute concurrently in simulated time but run one after another
 on the host, in name order.  Each client owns its state and random
 streams, and aggregation happens over exact matrices (integer numerators
 over a shared denominator, see ``exact``) in name order, so the order of
-host execution never shows in the results.  Every message between two
-agents passes through ``Simulation._deliver``, which counts it by edge.
+host execution never shows in the results.  Agents return message
+bodies with the time they are ready.  ``Simulation._send`` builds every
+message between two agents, stamps it with its sender's ready time plus
+the link latency (the offline key exchange is untimed) and counts it by
+edge.
 
 Message bodies use a closed set of kinds:
 
@@ -20,7 +23,6 @@ kind                 body keys
 ``public_key``       ``value`` (int), ``powers`` (its power table)
 ``weights_request``  none
 ``weights``          ``weights`` (matrix)
-``round_start``      none (serverless)
 ``federated_weights``  ``weights`` (matrix)
 ``dropouts``         ``dropped`` (list of client names)
 ===================  ========================================
@@ -34,7 +36,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .dp import NoiseRecord, SensitivityParams, perturb_weights
+from .dp import SensitivityParams, perturb_weights
 from .exact import ExactMatrix, exact_mean, to_float
 from .masking import MaskSchedule, apply_masks, dh_common_key, dh_generate
 from .models import (
@@ -118,19 +120,6 @@ class IterationReport:
     dropouts: list[str] = field(default_factory=list)
 
 
-def advance_time(
-    incoming: list[Envelope], compute_duration: float, outgoing_latency: float
-) -> float:
-    """Stamp for an outgoing message: max input time + compute + latency."""
-    if not incoming:
-        raise ValueError("advance_time requires at least one incoming envelope")
-    if compute_duration < 0:
-        raise ValueError(f"compute duration must be nonnegative, got {compute_duration}")
-    if outgoing_latency < 0:
-        raise ValueError(f"outgoing latency must be nonnegative, got {outgoing_latency}")
-    return max(env.sim_time for env in incoming) + compute_duration + outgoing_latency
-
-
 def round_sensitivity(
     size_schedule: Mapping[str, list[int]],
     active: list[str],
@@ -165,7 +154,8 @@ class ClientAgent:
     Names follow the ``client_agent<k>`` pattern, where ``k`` is the
     client's ``index`` in the configuration.  Every setting is read from
     the run's validated ``SimConfig`` where it is used; the size schedule
-    and the latency table are the simulation's own, shared by all agents.
+    is the simulation's own, shared by all agents.  A client's steps
+    return what it sends and when it is ready; the simulation stamps it.
     Each client derives three independent child streams from its seed
     (training batches, DP noise, key generation) so that toggling one
     feature never perturbs the random sequence of another.
@@ -180,14 +170,12 @@ class ClientAgent:
         test_set: Dataset,
         n_classes: int,
         size_schedule: Mapping[str, list[int]],
-        latencies: LatencyTable,
     ):
         self.name = name
         self.config = config
         self.datasets = datasets
         self.test_set = test_set
         self.size_schedule = size_schedule
-        self.latencies = latencies
         # Server-placed noise is added by the server, not here.
         self.dp_spec = (
             config.dp_spec_for(index) if config.dp_placement != "global_server" else None
@@ -209,7 +197,7 @@ class ClientAgent:
         self.schedule: MaskSchedule | None = None
 
         self._clean: dict[int, np.ndarray] = {}
-        self._records: dict[int, NoiseRecord] = {}
+        self._records: dict[int, np.ndarray] = {}
         self._cache: ClientRound | None = None
         self._compute: dict[int, float] = {}
         self._evals: dict[int, EvalReport] = {}
@@ -227,21 +215,15 @@ class ClientAgent:
     def generate_keys(self) -> None:
         self._keypair = dh_generate(self._key_rng)
 
-    def pubkey_envelope(self, peer: str) -> Envelope:
-        """Our public value and its power table, addressed to ``peer``."""
+    def public_key(self) -> dict[str, Any]:
+        """Our public value and its power table, the body sent to every peer."""
         if self._keypair is None:
             raise ProtocolError(f"{self.name} has no key pair to send")
-        return Envelope(
-            sender=self.name,
-            recipient=peer,
-            iteration=0,
-            body={
-                "kind": "public_key",
-                "value": self._keypair.public,
-                "powers": self._keypair.powers,
-            },
-            sim_time=0.0,
-        )
+        return {
+            "kind": "public_key",
+            "value": self._keypair.public,
+            "powers": self._keypair.powers,
+        }
 
     def receive_pubkey(self, env: Envelope) -> None:
         if env.sender in self._peer_publics:
@@ -267,8 +249,7 @@ class ClientAgent:
 
     # -- online phase ----------------------------------------------------
 
-    def _train_and_mask(self, env: Envelope) -> tuple[np.ndarray, float]:
-        iteration = env.iteration
+    def _train_and_mask(self, iteration: int) -> tuple[np.ndarray, float]:
         if iteration - 1 >= len(self.datasets):
             raise ProtocolError(
                 f"{self.name} has no data for iteration {iteration}"
@@ -284,13 +265,13 @@ class ClientAgent:
         if cfg.algorithm == "incremental":
             result = client_round_incremental(
                 self.federated_weights, data, cfg.train, self.dp_spec, sens,
-                self._train_rng, self._noise_rng, iteration, self.name,
+                self._train_rng, self._noise_rng,
             )
         else:
             result = client_round_retrain(
                 self.federated_weights, data, self._cache, cfg.tolerance,
                 cfg.train, self.dp_spec, sens,
-                self._train_rng, self._noise_rng, iteration, self.name,
+                self._train_rng, self._noise_rng,
             )
             self._cache = result
         self._clean[iteration] = result.clean
@@ -312,30 +293,24 @@ class ClientAgent:
         self._current_iteration = iteration
         return outgoing, duration
 
-    def produce_weights(self, env: Envelope) -> Envelope:
-        """Train for this iteration and reply with perturbed, masked weights."""
+    def produce_weights(self, env: Envelope) -> tuple[dict[str, Any], float]:
+        """Train for this iteration; return the perturbed, masked weights
+        and the time they are ready (the request's stamp plus compute)."""
         if not self.active:
             raise ProtocolError(f"inactive client {self.name!r} asked to produce weights")
-        outgoing, duration = self._train_and_mask(env)
-        return Envelope(
-            sender=self.name,
-            recipient=env.sender,
-            iteration=env.iteration,
-            body={"kind": "weights", "weights": outgoing},
-            sim_time=advance_time(
-                [env], duration, self.latencies.latency(self.name, env.sender)
-            ),
-        )
+        outgoing, duration = self._train_and_mask(env.iteration)
+        return {"kind": "weights", "weights": outgoing}, env.sim_time + duration
 
     def receive_weights(self, env: Envelope) -> bool:
         """Accept the federated model; evaluate and report convergence."""
-        iteration = env.iteration
+        return self._accept(env.iteration, env.body["weights"], env.sim_time)
+
+    def _accept(self, iteration: int, fed: Any, receipt: float) -> bool:
         if iteration != self._current_iteration:
             raise ProtocolError(
                 f"{self.name} got federated weights for iteration {iteration}, "
                 f"expected {self._current_iteration}"
             )
-        fed = env.body["weights"]
         record = self._records.pop(iteration)
         if self.config.subtract_dp_noise:
             fed = subtract_own_noise(fed, record, len(self.active_view))
@@ -347,7 +322,7 @@ class ClientAgent:
             local_accuracy=evaluate(local, self.test_set),
             federated_accuracy=evaluate(fed_f, self.test_set),
         )
-        self._receipts[iteration] = env.sim_time
+        self._receipts[iteration] = receipt
         return converged(local, fed_f, self.config.tolerance)
 
     def remove_active_clients(self, env: Envelope) -> None:
@@ -360,26 +335,14 @@ class ClientAgent:
 
     # -- serverless topology ----------------------------------------------
 
-    def broadcast_weights(self, env: Envelope) -> dict[str, Envelope]:
-        """Train once and stamp one envelope per active peer."""
+    def broadcast_weights(self, iteration: int) -> tuple[dict[str, Any], float]:
+        """Train once, keep our own contribution, and return the body for
+        every active peer with the time it is ready (the round starts at 0)."""
         if not self.active:
             raise ProtocolError(f"inactive client {self.name!r} asked to broadcast")
-        outgoing, duration = self._train_and_mask(env)
-        self._own_contribution[env.iteration] = (outgoing, env.sim_time + duration)
-        envelopes = {}
-        for peer in self.active_view:
-            if peer == self.name:
-                continue
-            envelopes[peer] = Envelope(
-                sender=self.name,
-                recipient=peer,
-                iteration=env.iteration,
-                body={"kind": "weights", "weights": outgoing},
-                sim_time=advance_time(
-                    [env], duration, self.latencies.latency(self.name, peer)
-                ),
-            )
-        return envelopes
+        outgoing, duration = self._train_and_mask(iteration)
+        self._own_contribution[iteration] = (outgoing, duration)
+        return {"kind": "weights", "weights": outgoing}, duration
 
     def receive_peer_weights(self, env: Envelope) -> None:
         self._peer_buffer.setdefault(env.iteration, {})[env.sender] = env
@@ -402,14 +365,7 @@ class ClientAgent:
             self.config.weighted_averaging,
         )
         receipt = max([own_ready] + [received[p].sim_time for p in expected])
-        synthetic = Envelope(
-            sender=self.name,
-            recipient=self.name,
-            iteration=iteration,
-            body={"kind": "federated_weights", "weights": fed},
-            sim_time=receipt,
-        )
-        return self.receive_weights(synthetic)
+        return self._accept(iteration, fed, receipt)
 
     # -- report accessors -------------------------------------------------
 
@@ -430,8 +386,8 @@ class ServerAgent:
     """Coordinates centralized rounds; trains nothing itself.
 
     Like the clients, it reads the run's ``SimConfig`` and shares the
-    simulation's one size schedule; the simulation stamps the server's
-    envelopes from the same latency table the clients use.  Its noise
+    simulation's one size schedule; the simulation stamps every envelope
+    from its one latency table.  Its noise
     stream is seeded from ``config.server_seed``.
     """
 
@@ -458,9 +414,7 @@ class ServerAgent:
             sens = round_sensitivity(
                 self.size_schedule, active, iteration, self.config.train.l2_alpha
             )
-            fed, _ = perturb_weights(
-                fed, spec, sens, self._noise_rng, iteration, self.name
-            )
+            fed, _ = perturb_weights(fed, spec, sens, self._noise_rng)
         return fed
 
 
@@ -504,8 +458,7 @@ class Simulation:
         self.directory: dict[str, Any] = {}
         for i, name in enumerate(names):
             self.directory[name] = ClientAgent(
-                name, i, config, client_datasets[i], test_set, n_classes,
-                size_schedule, self.latencies,
+                name, i, config, client_datasets[i], test_set, n_classes, size_schedule
             )
         self.server: ServerAgent | None = None
         if config.topology == "centralized":
@@ -537,28 +490,41 @@ class Simulation:
                 f"agent {name!r} failed during iteration {iteration}: {exc}"
             ) from exc
 
-    def _deliver(self, env: Envelope, handler: str | None = None) -> Any:
-        """Count ``env`` by edge and pass it to the recipient's ``handler``.
+    def _send(
+        self,
+        sender: str,
+        recipient: str,
+        iteration: int,
+        body: Mapping[str, Any],
+        ready: float,
+        handler: str | None = None,
+    ) -> Any:
+        """Stamp one message, count it by edge and deliver it.
 
-        Without a handler the envelope is returned to the caller, which
-        holds it for the recipient: the round that drives the server
-        collects the server's replies.  A self-addressed envelope is not a
-        send and is not counted.
+        The stamp is ``ready``, the simulated time at which the sender has
+        the body, plus the latency from sender to recipient; the offline
+        exchange (iteration 0) is untimed and stamped 0.  The envelope is
+        passed to the recipient's ``handler``, or, without one, returned
+        to the caller, which holds it for the recipient: the round that
+        drives the server collects the server's replies.
         """
-        if env.sender != env.recipient:
-            if env.iteration == 0:
-                edge = "offline_client_client"
-            elif env.sender == SERVER_NAME:
+        if iteration == 0:
+            sim_time = 0.0
+            edge = "offline_client_client"
+        else:
+            sim_time = ready + self.latencies.latency(sender, recipient)
+            if sender == SERVER_NAME:
                 edge = "server_client"
-            elif env.recipient == SERVER_NAME:
+            elif recipient == SERVER_NAME:
                 edge = "client_server"
             else:
                 edge = "online_client_client"
-            setattr(self.counters, edge, getattr(self.counters, edge) + 1)
+        setattr(self.counters, edge, getattr(self.counters, edge) + 1)
+        env = Envelope(sender, recipient, iteration, body, sim_time)
         if handler is None:
             return env
-        method = getattr(self.directory[env.recipient], handler)
-        return self._invoke(env.recipient, env.iteration, method, env)
+        method = getattr(self.directory[recipient], handler)
+        return self._invoke(recipient, iteration, method, env)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -572,9 +538,10 @@ class Simulation:
         for client in clients:
             self._invoke(client.name, 0, client.generate_keys)
         for client in clients:
+            body = client.public_key()
             for peer in self.client_names:
                 if peer != client.name:
-                    self._deliver(client.pubkey_envelope(peer), "receive_pubkey")
+                    self._send(client.name, peer, 0, body, 0.0, "receive_pubkey")
         for client in clients:
             self._invoke(client.name, 0, client.initialize_common_keys)
 
@@ -600,15 +567,9 @@ class Simulation:
         assert server is not None
         replies = {}
         for c in active:
-            request = Envelope(
-                sender=server.name,
-                recipient=c,
-                iteration=iteration,
-                body={"kind": "weights_request"},
-                sim_time=self.latencies.latency(server.name, c),
-            )
-            reply = self._deliver(request, "produce_weights")
-            replies[c] = self._deliver(reply)  # held here for the server
+            request = {"kind": "weights_request"}
+            reply = self._send(server.name, c, iteration, request, 0.0, "produce_weights")
+            replies[c] = self._send(c, server.name, iteration, *reply)  # held for the server
 
         started = time.perf_counter()
         fed = server.aggregate(replies, iteration, active)
@@ -617,49 +578,33 @@ class Simulation:
             if self.config.server_compute_s is not None
             else time.perf_counter() - started
         )
-        incoming = list(replies.values())
-        returns = {
-            c: Envelope(
-                sender=server.name,
-                recipient=c,
-                iteration=iteration,
-                body={"kind": "federated_weights", "weights": fed},
-                sim_time=advance_time(
-                    incoming, server_dur, self.latencies.latency(server.name, c)
-                ),
-            )
+        ready = max(env.sim_time for env in replies.values()) + server_dur
+        body = {"kind": "federated_weights", "weights": fed}
+        flags = {
+            c: self._send(server.name, c, iteration, body, ready, "receive_weights")
             for c in active
         }
-        flags = {c: self._deliver(returns[c], "receive_weights") for c in active}
 
         dropouts = (
             sorted(c for c in active if flags[c]) if self.config.client_dropout else []
         )
         if dropouts:
+            announce = {"kind": "dropouts", "dropped": dropouts}
             for c in active:
-                if c in dropouts:
-                    continue
-                announce = Envelope(
-                    sender=server.name,
-                    recipient=c,
-                    iteration=iteration,
-                    body={"kind": "dropouts", "dropped": dropouts},
-                    sim_time=returns[c].sim_time,
-                )
-                self._deliver(announce, "remove_active_clients")
+                if c not in dropouts:
+                    self._send(
+                        server.name, c, iteration, announce, ready, "remove_active_clients"
+                    )
         return self._assemble_report(iteration, active, dropouts)
 
     def _serverless_round(self, iteration: int, active: list[str]) -> IterationReport:
         for c in active:
-            start = Envelope(
-                sender=c,
-                recipient=c,
-                iteration=iteration,
-                body={"kind": "round_start"},
-                sim_time=0.0,
+            body, ready = self._invoke(
+                c, iteration, self.directory[c].broadcast_weights, iteration
             )
-            for env in self._deliver(start, "broadcast_weights").values():
-                self._deliver(env, "receive_peer_weights")
+            for peer in active:
+                if peer != c:
+                    self._send(c, peer, iteration, body, ready, "receive_peer_weights")
         flags = {
             c: self._invoke(c, iteration, self.directory[c].complete_peer_round, iteration)
             for c in active
@@ -667,20 +612,14 @@ class Simulation:
         dropouts = (
             sorted(c for c in active if flags[c]) if self.config.client_dropout else []
         )
-        if dropouts:
-            # without a server, each departing client announces itself
-            for dropped in dropouts:
-                for c in active:
-                    if c in dropouts:
-                        continue
-                    announce = Envelope(
-                        sender=dropped,
-                        recipient=c,
-                        iteration=iteration,
-                        body={"kind": "dropouts", "dropped": [dropped]},
-                        sim_time=self.directory[c].receipt_time(iteration),
-                    )
-                    self._deliver(announce, "remove_active_clients")
+        # without a server, each departing client announces itself once it
+        # holds the round's model
+        for dropped in dropouts:
+            announce = {"kind": "dropouts", "dropped": [dropped]}
+            ready = self.directory[dropped].receipt_time(iteration)
+            for c in active:
+                if c not in dropouts:
+                    self._send(dropped, c, iteration, announce, ready, "remove_active_clients")
         return self._assemble_report(iteration, active, dropouts)
 
     def _assemble_report(

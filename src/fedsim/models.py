@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dp import DpSpec, NoiseRecord, SensitivityParams, perturb_weights
-from .exact import ExactMatrix, exact_mean, to_exact, to_float
+from .dp import DpSpec, SensitivityParams, perturb_weights
+from .exact import ExactMatrix, to_exact, to_float
 
 
 @dataclass
@@ -168,11 +168,6 @@ def sgd_train(
     return w
 
 
-def federated_average(models: list[np.ndarray]) -> np.ndarray:
-    """Elementwise arithmetic mean of weight matrices (correctly rounded)."""
-    return to_float(exact_mean(models))
-
-
 def converged(local: np.ndarray, federated: np.ndarray, tolerance: float) -> bool:
     """True iff every federated weight is within ``tolerance`` of the local one."""
     local = np.asarray(local, dtype=np.float64)
@@ -185,22 +180,21 @@ def converged(local: np.ndarray, federated: np.ndarray, tolerance: float) -> boo
 
 
 def subtract_own_noise(
-    federated: np.ndarray | ExactMatrix, record: NoiseRecord, active_count: int
+    federated: np.ndarray | ExactMatrix, noise: np.ndarray, active_count: int
 ) -> ExactMatrix:
     """Remove an agent's own noise share from an averaged model.
 
-    Returns ``federated - record.values / active_count`` as an exact
-    matrix, so a single client recovers its clean weights bit for bit.
+    Returns ``federated - noise / active_count`` as an exact matrix, so a
+    single client recovers its clean weights bit for bit.
     """
     if active_count < 1:
         raise ValueError(f"active_count must be >= 1, got {active_count}")
     federated = to_exact(federated)
-    if federated.shape != record.values.shape:
+    if federated.shape != noise.shape:
         raise ValueError(
-            f"shape mismatch: federated {federated.shape} vs "
-            f"noise record {record.values.shape}"
+            f"shape mismatch: federated {federated.shape} vs noise {noise.shape}"
         )
-    return federated - to_exact(record.values) / active_count
+    return federated - to_exact(noise) / active_count
 
 
 def evaluate(w: np.ndarray | ExactMatrix, test: Dataset) -> float:
@@ -228,7 +222,7 @@ class ClientRound(NamedTuple):
     """
 
     weights: np.ndarray | ExactMatrix
-    record: NoiseRecord
+    record: np.ndarray
     trained: bool
     clean: np.ndarray
     sens: SensitivityParams | None
@@ -239,16 +233,13 @@ def _finish_round(
     dp: DpSpec | None,
     sens: SensitivityParams | None,
     rng: np.random.Generator,
-    iteration: int,
-    owner: str,
 ) -> ClientRound:
     if dp is None:
-        zeros = NoiseRecord(np.zeros_like(trained), iteration, owner)
-        return ClientRound(trained, zeros, True, trained, sens)
+        return ClientRound(trained, np.zeros_like(trained), True, trained, sens)
     if sens is None:
         raise ValueError("sensitivity parameters are required when dp is enabled")
-    perturbed, record = perturb_weights(trained, dp, sens, rng, iteration, owner)
-    return ClientRound(perturbed, record, True, trained, sens)
+    perturbed, noise = perturb_weights(trained, dp, sens, rng)
+    return ClientRound(perturbed, noise, True, trained, sens)
 
 
 def client_round_incremental(
@@ -259,8 +250,6 @@ def client_round_incremental(
     sens: SensitivityParams | None,
     rng: np.random.Generator,
     noise_rng: np.random.Generator | None = None,
-    iteration: int = 0,
-    owner: str = "",
 ) -> ClientRound:
     """One client round of the fresh-data algorithm.
 
@@ -269,9 +258,7 @@ def client_round_incremental(
     in which case the plain trained weights are sent).
     """
     trained = sgd_train(fresh_data, server_w, cfg, rng)
-    return _finish_round(
-        trained, dp, sens, noise_rng if noise_rng is not None else rng, iteration, owner
-    )
+    return _finish_round(trained, dp, sens, noise_rng if noise_rng is not None else rng)
 
 
 def client_round_retrain(
@@ -284,8 +271,6 @@ def client_round_retrain(
     sens: SensitivityParams | None,
     rng: np.random.Generator,
     noise_rng: np.random.Generator | None = None,
-    iteration: int = 0,
-    owner: str = "",
 ) -> ClientRound:
     """One client round of the cumulative-retrain algorithm.
 
@@ -306,6 +291,4 @@ def client_round_retrain(
         if cached.sens == sens and np.max(np.abs(server_w - cached_w)) <= tolerance:
             return cached._replace(trained=False)
     trained = sgd_train(cumulative_data, np.zeros_like(server_w), cfg, rng)
-    return _finish_round(
-        trained, dp, sens, noise_rng if noise_rng is not None else rng, iteration, owner
-    )
+    return _finish_round(trained, dp, sens, noise_rng if noise_rng is not None else rng)

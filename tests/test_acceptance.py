@@ -16,9 +16,9 @@ from conftest import base_config_dict, make_simulation, make_skewed_dropout_simu
 from fedsim.cli import main as cli_main
 from fedsim.config import config_from_dict, load_config
 from fedsim.dp import gamma_difference_share
-from fedsim.exact import to_exact, to_float
+from fedsim.exact import exact_mean, to_exact, to_float
 from fedsim.masking import MaskSchedule, apply_masks, dh_common_key, dh_generate
-from fedsim.models import Dataset, federated_average, gradient, loss
+from fedsim.models import Dataset, gradient, loss
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -104,7 +104,7 @@ def test_c02_mask_cancellation_oracle():
         for iteration in (1, 2, 3):
             sim.run_round(iteration)
             clean = [sim.directory[c].clean_weights(iteration) for c in sim.client_names]
-            expected = federated_average(clean)
+            expected = to_float(exact_mean(clean))
             for c in sim.client_names:
                 assert np.array_equal(sim.directory[c].federated_weights, expected)
 
@@ -153,9 +153,9 @@ def test_c04_noise_subtraction_identity():
         )
         sim2.offline_phase()
         sim2.run_round(1)
-        clean_avg = federated_average(
+        clean_avg = to_float(exact_mean(
             [sim2.directory[c].clean_weights(1) for c in sim2.client_names]
-        )
+        ))
         assert np.array_equal(
             sim2.directory["client_agent0"].federated_weights, clean_avg
         )
@@ -257,12 +257,13 @@ def test_c08_gradient_check():
 
 def test_c09_cli_determinism(tmp_path):
     with criterion(9, "CLI determinism"):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        example = CONFIG_DIR / "example.json"
-        assert cli_main(["run", str(example), "--out", str(out_a)]) == 0
-        assert cli_main(["run", str(example), "--out", str(out_b)]) == 0
-        for name in ("accuracy.csv", "timing.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        for config in ("example.json", "serverless_latency.json"):
+            out_a, out_b = tmp_path / config / "a", tmp_path / config / "b"
+            path = CONFIG_DIR / config
+            assert cli_main(["run", str(path), "--out", str(out_a)]) == 0
+            assert cli_main(["run", str(path), "--out", str(out_b)]) == 0
+            for name in ("accuracy.csv", "timing.csv"):
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 def test_c10_scenario_expressiveness(tmp_path):

@@ -9,7 +9,6 @@ from scipy import stats
 
 from fedsim.dp import (
     DpSpec,
-    NoiseRecord,
     SensitivityParams,
     gamma_difference_share,
     gaussian_sample,
@@ -180,7 +179,7 @@ class TestPerturbWeights:
         perturbed, record = perturb_weights(
             self.w, spec, self.sens, np.random.default_rng(1)
         )
-        recovered = to_float(perturbed - to_exact(record.values))
+        recovered = to_float(perturbed - to_exact(record))
         assert np.array_equal(recovered, self.w)
 
     def test_input_unmodified(self):
@@ -217,21 +216,12 @@ class TestPerturbWeights:
         perturbed, record = perturb_weights(
             self.w, spec, self.sens, np.random.default_rng(3)
         )
-        assert record.values.shape == self.w.shape
+        assert record.shape == self.w.shape
         assert not np.array_equal(to_float(perturbed), self.w)
-
-    def test_record_metadata(self):
-        spec = DpSpec("laplace", epsilon=1.0)
-        _, record = perturb_weights(
-            self.w, spec, self.sens, np.random.default_rng(4), iteration=7, owner="c1"
-        )
-        assert record.iteration == 7
-        assert record.owner == "c1"
-        assert isinstance(record, NoiseRecord)
 
     def test_determinism_across_runs(self):
         spec = DpSpec("laplace", epsilon=0.3)
         p1, r1 = perturb_weights(self.w, spec, self.sens, np.random.default_rng(9))
         p2, r2 = perturb_weights(self.w, spec, self.sens, np.random.default_rng(9))
-        assert np.array_equal(r1.values, r2.values)
+        assert np.array_equal(r1, r2)
         assert np.array_equal(to_float(p1), to_float(p2))

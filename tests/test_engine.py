@@ -15,13 +15,11 @@ from fedsim.engine import (
     ProtocolError,
     Simulation,
     SimulationError,
-    advance_time,
     run_simulation,
 )
 from fedsim.dp import laplace_sample
 from fedsim.exact import exact_mean, to_exact, to_float
 from fedsim.masking import GROUP_PRIME, DhKeyPair
-from fedsim.models import federated_average
 
 PAPER_LATENCIES = {
     "server_agent0": {"client_agent0": 0.3, "client_agent1": 2.0, "client_agent2": 0.1},
@@ -29,41 +27,6 @@ PAPER_LATENCIES = {
     "client_agent1": {"server_agent0": 2.0},
     "client_agent2": {"server_agent0": 0.1},
 }
-
-
-def env(sender="a", recipient="b", iteration=1, body=None, sim_time=0.0):
-    return Envelope(sender, recipient, iteration, body or {}, sim_time)
-
-
-class TestAdvanceTime:
-    def test_three_city_round_composition(self):
-        # request reaches each client after its own latency, replies race
-        # back, the slowest (2.0 out, 2.0 back) gates the server
-        replies = [
-            env(sim_time=advance_time([env(sim_time=lat)], 0.005, lat))
-            for lat in (0.3, 2.0, 0.1)
-        ]
-        assert advance_time(replies, 0.005, 0.1) == pytest.approx(4.110, abs=1e-9)
-        assert advance_time(replies, 0.005, 0.3) == pytest.approx(4.310, abs=1e-9)
-        assert advance_time(replies, 0.005, 2.0) == pytest.approx(6.010, abs=1e-9)
-
-    def test_all_zero_components(self):
-        assert advance_time([env(sim_time=0.0)], 0.0, 0.0) == 0.0
-
-    def test_negative_components_rejected(self):
-        with pytest.raises(ValueError):
-            advance_time([env(sim_time=1.0)], -0.1, 0.0)
-        with pytest.raises(ValueError):
-            advance_time([env(sim_time=1.0)], 0.0, -0.1)
-
-    def test_empty_incoming_rejected(self):
-        with pytest.raises(ValueError):
-            advance_time([], 0.0, 0.0)
-
-    def test_causality(self):
-        incoming = [env(sim_time=t) for t in (0.5, 2.5, 1.0)]
-        out = advance_time(incoming, 0.1, 0.2)
-        assert all(out >= e.sim_time for e in incoming)
 
 
 class TestLatencyTable:
@@ -134,7 +97,7 @@ class TestOfflinePhase:
     def test_public_key_sent_only_after_generation(self):
         sim = make_simulation(use_security=True)
         with pytest.raises(ProtocolError, match="no key pair"):
-            sim.directory["client_agent0"].pubkey_envelope("client_agent1")
+            sim.directory["client_agent0"].public_key()
 
     def test_key_material_dropped_after_agreement(self):
         sim = make_simulation(use_security=True)
@@ -142,7 +105,7 @@ class TestOfflinePhase:
         for name in sim.client_names:
             client = sim.directory[name]
             with pytest.raises(ProtocolError, match="no key pair"):
-                client.pubkey_envelope(next(c for c in sim.client_names if c != name))
+                client.public_key()
             assert not any(isinstance(v, DhKeyPair) for v in vars(client).values())
             assert not client._peer_publics
             assert sorted(client.schedule.keys) == [c for c in sim.client_names if c != name]
@@ -171,7 +134,7 @@ class TestServerRound:
         sim.offline_phase()
         sim.run_round(1)
         clean = [sim.directory[c].clean_weights(1) for c in sim.client_names]
-        expected = federated_average(clean)
+        expected = to_float(exact_mean(clean))
         for c in sim.client_names:
             assert np.array_equal(sim.directory[c].federated_weights, expected)
 
@@ -218,7 +181,7 @@ class TestServerRound:
         sim.run_round(1)
         clean = [sim.directory[c].clean_weights(1) for c in sim.client_names]
         fed = sim.directory["client_agent0"].federated_weights
-        assert not np.array_equal(fed, federated_average(clean))
+        assert not np.array_equal(fed, to_float(exact_mean(clean)))
         for c in sim.client_names[1:]:
             assert np.array_equal(sim.directory[c].federated_weights, fed)
 
@@ -235,7 +198,7 @@ class TestServerRound:
             sim.run_round(1)
             clean = [sim.directory[c].clean_weights(1) for c in sim.client_names]
             fed = sim.directory["client_agent0"].federated_weights
-            assert not np.array_equal(fed, federated_average(clean))
+            assert not np.array_equal(fed, to_float(exact_mean(clean)))
 
     def test_retrain_cache_reused_once_converged(self):
         # single client: the federated model equals the cached weights, so
@@ -264,7 +227,9 @@ class TestClientAgent:
         request = Envelope(
             "server_agent0", "client_agent1", 1, {"kind": "weights_request"}, 2.0
         )
-        reply = client.produce_weights(request)
+        reply = sim._send(
+            "client_agent1", "server_agent0", 1, *client.produce_weights(request)
+        )
         assert reply.sim_time == pytest.approx(2.0 + 0.005 + 2.0)
         assert reply.recipient == "server_agent0"
 
@@ -287,10 +252,10 @@ class TestClientAgent:
         )
         sim.offline_phase()
         client = sim.directory["client_agent0"]
-        reply = client.produce_weights(
+        reply, _ = client.produce_weights(
             Envelope("server_agent0", "client_agent0", 1, {"kind": "weights_request"}, 0.0)
         )
-        body = to_float(reply.body["weights"])
+        body = to_float(reply["weights"])
         assert not np.array_equal(body, client.clean_weights(1))
 
     def test_receive_rejects_iteration_mismatch(self):
@@ -347,8 +312,8 @@ class TestNoiseSubtraction:
             for c in names
         }
         replies = {c: sim.directory[c].produce_weights(requests[c]) for c in names}
-        records = {c: sim.directory[c]._records[1].values.copy() for c in names}
-        fed = exact_mean([replies[c].body["weights"] for c in sorted(names)])
+        records = {c: sim.directory[c]._records[1].copy() for c in names}
+        fed = exact_mean([replies[c][0]["weights"] for c in sorted(names)])
         for c in names:
             sim.directory[c].receive_weights(
                 Envelope("server_agent0", c, 1,
@@ -423,7 +388,7 @@ class TestNoiseCalibration:
         client = sim.directory["client_agent2"]
         assert len(client.datasets[0]) == 50
         sim.offline_phase()
-        reply = client.produce_weights(
+        reply, _ = client.produce_weights(
             Envelope("server_agent0", "client_agent2", 1, {"kind": "weights_request"}, 0.0)
         )
         _, noise_seq, _ = np.random.SeedSequence(sim.config.seeds[2]).spawn(3)
@@ -431,7 +396,7 @@ class TestNoiseCalibration:
         scale = 2.0 / (3 * 10 * sim.config.train.l2_alpha) / 0.5
         noise = laplace_sample(scale, np.random.default_rng(noise_seq), clean.shape)
         assert np.array_equal(
-            to_float(reply.body["weights"]), to_float(to_exact(clean) + to_exact(noise))
+            to_float(reply["weights"]), to_float(to_exact(clean) + to_exact(noise))
         )
 
 
@@ -475,7 +440,7 @@ class TestServerlessRound:
         sim.offline_phase()
         sim.run_round(1)
         clean = [sim.directory[c].clean_weights(1) for c in sim.client_names]
-        expected = federated_average(clean)
+        expected = to_float(exact_mean(clean))
         for c in sim.client_names:
             assert np.array_equal(sim.directory[c].federated_weights, expected)
 
@@ -646,7 +611,7 @@ class TestWeightedAveraging:
         sim.offline_phase()
         sim.run_round(1)
         clean = [sim.directory[c].clean_weights(1) for c in sim.client_names]
-        expected = federated_average(clean)
+        expected = to_float(exact_mean(clean))
         assert np.array_equal(
             sim.directory["client_agent0"].federated_weights, expected
         )

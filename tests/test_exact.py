@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedsim.dp import NoiseRecord
 from fedsim.exact import ExactMatrix, exact_mean, to_exact, to_float
 from fedsim.models import subtract_own_noise
 
@@ -103,7 +102,7 @@ def test_noise_subtraction_matches_fraction(pair, n):
     x, noise = pair
     expected = fractions_of(x) - fractions_of(noise) / n
     assert_rounds_like(to_exact(x) - to_exact(noise) / n, expected)
-    assert_rounds_like(subtract_own_noise(x, NoiseRecord(noise), n), expected)
+    assert_rounds_like(subtract_own_noise(x, noise, n), expected)
 
 
 @settings(max_examples=50, deadline=None)

@@ -23,6 +23,7 @@ GOLDEN = {
     "scenario2.json": "7ecab51a2548af9692dcc37eb856bc0cb77d2f48aa7a0ec97d88516ae15ee850",
     "scenario3.json": "5abfe26b493c0b83914d3c98a12b0527929f17becfeb74c7d1ac4e1d3c049b05",
     "scenario4.json": "348820f4451aa36082c0a945ca86af38450a6061690be12edcf601f746c578c4",
+    "serverless_latency.json": "dde0d7035cd3a184b5c63a7fad5e43dd4fe86dbe0c824a9cf7f8aae4e22bf299",
     "three_city_latency.json": "7b52bf4c34eb5cc2dca4a374100f09e4a0ab26ae49fa7904837cf4440100ddeb",
 }
 
@@ -33,6 +34,7 @@ SUMMARY_GOLDEN = {
     "scenario2.json": "a2f69af0174db057dcdff63e25097819342f366c46157ebb5e9644482711be27",
     "scenario3.json": "01e6dac257d1b5407a38e0c41207b977e8834bf91a2a76a607389b8b1633c985",
     "scenario4.json": "103a9c6c75e1749e42dfec1bd2eea7dbd4f6a78f1cc9b1059093acb389542f38",
+    "serverless_latency.json": "5c63500e6e157c0b28e5da2790496031eb8650da9dcb0501b84058ae50128c1f",
     "three_city_latency.json": "2526c50949130614d732e8c09e3546a9fdba7d127f2d9276e0a3dc6212e3a078",
 }
 
@@ -55,13 +57,5 @@ def test_report_hash(name, tmp_path):
     for report in ("accuracy.csv", "timing.csv"):
         digest.update((tmp_path / report).read_bytes())
     assert digest.hexdigest() == GOLDEN[name]
-
-
-@pytest.mark.parametrize("name", sorted(SUMMARY_GOLDEN))
-def test_summary_hash(name, tmp_path):
-    path = CONFIG_DIR / name
-    config = load_config(path)
-    client_datasets, test_set = build_inputs(config, base_dir=path.parent)
-    emit_reports(run_simulation(config, client_datasets, test_set), tmp_path, config)
-    digest = hashlib.sha256((tmp_path / "summary.json").read_bytes())
-    assert digest.hexdigest() == SUMMARY_GOLDEN[name]
+    summary = hashlib.sha256((tmp_path / "summary.json").read_bytes())
+    assert summary.hexdigest() == SUMMARY_GOLDEN[name]

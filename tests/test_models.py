@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedsim.dp import DpSpec, NoiseRecord, SensitivityParams
+from fedsim.dp import DpSpec, SensitivityParams
 from fedsim.exact import exact_mean, to_exact, to_float
 from fedsim.models import (
     Dataset,
@@ -14,7 +14,6 @@ from fedsim.models import (
     client_round_retrain,
     converged,
     evaluate,
-    federated_average,
     gradient,
     loss,
     sgd_train,
@@ -195,23 +194,23 @@ class TestFederatedAverage:
     def test_pairwise_mean(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[3.0, 4.0], [5.0, 6.0]])
-        assert np.array_equal(federated_average([a, b]), [[2.0, 3.0], [4.0, 5.0]])
+        assert np.array_equal(to_float(exact_mean([a, b])), [[2.0, 3.0], [4.0, 5.0]])
 
     def test_single_model_identity(self):
         a = np.array([[1.5, -2.5]])
-        assert np.array_equal(federated_average([a]), a)
+        assert np.array_equal(to_float(exact_mean([a])), a)
 
     def test_idempotent_on_copies(self):
         a = np.random.default_rng(0).standard_normal((3, 4))
-        assert np.array_equal(federated_average([a, a.copy(), a.copy()]), a)
+        assert np.array_equal(to_float(exact_mean([a, a.copy(), a.copy()])), a)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            federated_average([])
+            to_float(exact_mean([]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            federated_average([np.zeros((2, 2)), np.zeros((3, 2))])
+            to_float(exact_mean([np.zeros((2, 2)), np.zeros((3, 2))]))
 
     def test_noise_linearity(self):
         # averaging noisy models then removing the averaged noise recovers
@@ -221,7 +220,7 @@ class TestFederatedAverage:
         gs = [rng.standard_normal((3, 4)) for _ in range(4)]
         noisy = [to_exact(w) + to_exact(g) for w, g in zip(ws, gs)]
         cleaned = exact_mean(noisy) - exact_mean(gs)
-        assert np.array_equal(to_float(cleaned), federated_average(ws))
+        assert np.array_equal(to_float(cleaned), to_float(exact_mean(ws)))
 
 
 class TestConverged:
@@ -256,8 +255,7 @@ class TestSubtractOwnNoise:
         w = rng.standard_normal((3, 4))
         g = rng.standard_normal((3, 4)) * 100
         noisy = to_exact(w) + to_exact(g)
-        record = NoiseRecord(g)
-        recovered = to_float(subtract_own_noise(noisy, record, 1))
+        recovered = to_float(subtract_own_noise(noisy, g, 1))
         assert np.array_equal(recovered, w)
 
     def test_two_clients_one_noiseless(self):
@@ -266,12 +264,12 @@ class TestSubtractOwnNoise:
         g_a = rng.standard_normal((3, 4)) * 50
         noisy_a = to_exact(w_a) + to_exact(g_a)
         fed = exact_mean([noisy_a, to_exact(w_b)])
-        corrected = to_float(subtract_own_noise(fed, NoiseRecord(g_a), 2))
-        assert np.array_equal(corrected, federated_average([w_a, w_b]))
+        corrected = to_float(subtract_own_noise(fed, g_a, 2))
+        assert np.array_equal(corrected, to_float(exact_mean([w_a, w_b])))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            subtract_own_noise(np.zeros((2, 2)), NoiseRecord(np.zeros((3, 2))), 1)
+            subtract_own_noise(np.zeros((2, 2)), np.zeros((3, 2)), 1)
 
     def test_correction_helps_in_majority_of_trials(self):
         # two noisy clients on a well-separated task; removing one's own
@@ -288,7 +286,7 @@ class TestSubtractOwnNoise:
             g_a = trial_rng.laplace(scale=1.5, size=w_a.shape)
             g_b = trial_rng.laplace(scale=1.5, size=w_b.shape)
             fed = exact_mean([to_exact(w_a) + to_exact(g_a), to_exact(w_b) + to_exact(g_b)])
-            corrected = to_float(subtract_own_noise(fed, NoiseRecord(g_a), 2))
+            corrected = to_float(subtract_own_noise(fed, g_a, 2))
             if evaluate(corrected, test) >= evaluate(to_float(fed), test):
                 wins += 1
         assert wins >= 11
@@ -333,7 +331,7 @@ class TestClientRoundIncremental:
         )
         assert np.array_equal(result.weights, trained)
         assert np.array_equal(result.clean, trained)
-        assert np.all(result.record.values == 0)
+        assert np.all(result.record == 0)
 
     def test_record_matches_perturbation_exactly(self):
         spec = DpSpec("distributed_laplace", epsilon=1.0, placement="distributed")
@@ -343,7 +341,7 @@ class TestClientRoundIncremental:
         )
         trained = sgd_train(self.data, zero_weights(2, 2), self.cfg, np.random.default_rng(34))
         assert np.array_equal(
-            to_float(result.weights - to_exact(result.record.values)), trained
+            to_float(result.weights - to_exact(result.record)), trained
         )
         assert np.array_equal(result.clean, trained)
         assert result.sens == self.sens
