@@ -47,15 +47,27 @@ def test_every_shipped_summary_is_pinned():
     assert sorted(SUMMARY_GOLDEN) == sorted(GOLDEN)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_report_hash(name, tmp_path):
+@pytest.fixture(scope="module", params=sorted(GOLDEN))
+def reports(request, tmp_path_factory):
+    """Run one shipped config once; both hash tests read its reports."""
+    name = request.param
     path = CONFIG_DIR / name
+    out = tmp_path_factory.mktemp(path.stem)
     config = load_config(path)
     client_datasets, test_set = build_inputs(config, base_dir=path.parent)
-    emit_reports(run_simulation(config, client_datasets, test_set), tmp_path, config)
+    emit_reports(run_simulation(config, client_datasets, test_set), out, config)
+    return name, out
+
+
+def test_report_hash(reports):
+    name, out = reports
     digest = hashlib.sha256()
     for report in ("accuracy.csv", "timing.csv"):
-        digest.update((tmp_path / report).read_bytes())
+        digest.update((out / report).read_bytes())
     assert digest.hexdigest() == GOLDEN[name]
-    summary = hashlib.sha256((tmp_path / "summary.json").read_bytes())
+
+
+def test_summary_hash(reports):
+    name, out = reports
+    summary = hashlib.sha256((out / "summary.json").read_bytes())
     assert summary.hexdigest() == SUMMARY_GOLDEN[name]
