@@ -14,12 +14,11 @@ from .config import (
     synth_dataset,
 )
 from .dp import (
-    DpSpec,
-    SensitivityParams,
+    Calibration,
+    calibrate,
     gamma_difference_share,
     gaussian_sample,
     laplace_sample,
-    logreg_sensitivity,
     perturb_weights,
 )
 from .engine import (
@@ -32,7 +31,6 @@ from .engine import (
     ServerAgent,
     Simulation,
     SimulationError,
-    round_sensitivity,
     run_simulation,
 )
 from .exact import ExactMatrix, exact_mean, to_exact, to_float

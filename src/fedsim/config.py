@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dp import MECHANISMS, PLACEMENTS, DpSpec
+from .dp import MECHANISMS, PLACEMENTS
 from .models import Dataset, TrainConfig
 
 TOPOLOGIES = ("centralized", "serverless")
@@ -80,32 +81,6 @@ class SimConfig:
             for recipient, value in recipients.items()
         }
 
-    def dp_spec_for(self, index: int) -> DpSpec | None:
-        if not self.use_dp_privacy:
-            return None
-        epsilon = self.epsilons[index]
-        if epsilon is None:
-            return None
-        delta = self.deltas[index] if self.deltas is not None else 0.0
-        return DpSpec(self.mechanism, float(epsilon), float(delta), self.dp_placement)
-
-    def global_dp_for(self, active: list[str]) -> DpSpec | None:
-        """Server-placed spec using the most conservative (smallest) epsilon
-        among the active clients that declare one."""
-        if not (self.use_dp_privacy and self.dp_placement == "global_server"):
-            return None
-        names = self.client_names()
-        indices = [names.index(c) for c in active]
-        epsilons = [self.epsilons[i] for i in indices if self.epsilons[i] is not None]
-        if not epsilons:
-            return None
-        if self.deltas is not None:
-            deltas = [self.deltas[i] for i in indices if self.epsilons[i] is not None]
-            delta = float(min(deltas))
-        else:
-            delta = 0.0
-        return DpSpec(self.mechanism, float(min(epsilons)), delta, "global_server")
-
     def to_dict(self) -> dict:
         out = asdict(self)
         out["compute"] = {
@@ -120,6 +95,20 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _numeric(value, integer: bool = False) -> bool:
+    """True for a finite JSON number, or a JSON integer when ``integer``.
+
+    JSON booleans parse as Python bools, which are ints, and ``1e999``,
+    ``Infinity`` and ``NaN`` parse as non-finite floats; none is a number
+    here.
+    """
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, int):
+        return True
+    return not integer and isinstance(value, float) and math.isfinite(value)
+
+
 def config_from_dict(raw: dict) -> SimConfig:
     """Build and fully validate a SimConfig from a parsed JSON document."""
     unknown = set(raw) - _TOP_LEVEL_KEYS
@@ -131,10 +120,13 @@ def config_from_dict(raw: dict) -> SimConfig:
     _require(not missing, f"missing configuration keys: {sorted(missing)}")
 
     n = raw["num_clients"]
-    _require(isinstance(n, int) and n >= 1, f"num_clients: must be a positive integer, got {n!r}")
+    _require(
+        _numeric(n, integer=True) and n >= 1,
+        f"num_clients: must be a positive integer, got {n!r}",
+    )
     iters = raw["num_iterations"]
     _require(
-        isinstance(iters, int) and iters >= 0,
+        _numeric(iters, integer=True) and iters >= 0,
         f"num_iterations: must be a nonnegative integer, got {iters!r}",
     )
     topology = raw["topology"]
@@ -190,7 +182,7 @@ def config_from_dict(raw: dict) -> SimConfig:
     )
     for i, eps in enumerate(epsilons):
         _require(
-            eps is None or (isinstance(eps, (int, float)) and eps > 0),
+            eps is None or (_numeric(eps) and eps > 0),
             f"epsilons[{i}]: must be null or a positive number, got {eps!r}",
         )
     deltas = raw.get("deltas")
@@ -201,7 +193,7 @@ def config_from_dict(raw: dict) -> SimConfig:
         )
         for i, d in enumerate(deltas):
             _require(
-                isinstance(d, (int, float)) and 0 <= d < 1,
+                _numeric(d) and 0 <= d < 1,
                 f"deltas[{i}]: must be in [0, 1), got {d!r}",
             )
     if use_dp and mechanism == "gaussian":
@@ -214,16 +206,22 @@ def config_from_dict(raw: dict) -> SimConfig:
 
     tolerance = raw["tolerance"]
     _require(
-        isinstance(tolerance, (int, float)) and 0 < tolerance < float("inf"),
+        _numeric(tolerance) and tolerance > 0,
         f"tolerance: must be positive and finite, got {tolerance!r}",
     )
 
     seeds = raw["seeds"]
     _require(
         isinstance(seeds, list) and len(seeds) == n
-        and all(isinstance(s, int) for s in seeds),
-        f"seeds: must be a list of {n} integers",
+        and all(_numeric(s, integer=True) and s >= 0 for s in seeds),
+        f"seeds: must be a list of {n} nonnegative integers",
     )
+    for key in ("data_seed", "server_seed"):
+        value = raw.get(key, 0)
+        _require(
+            _numeric(value, integer=True) and value >= 0,
+            f"{key}: must be a nonnegative integer, got {value!r}",
+        )
 
     sizes = raw["dataset_sizes"]
     _require(
@@ -237,13 +235,13 @@ def config_from_dict(raw: dict) -> SimConfig:
         )
         for j, s in enumerate(per_iter):
             _require(
-                isinstance(s, int) and s >= 1,
+                _numeric(s, integer=True) and s >= 1,
                 f"dataset_sizes[{i}][{j}]: must be a positive integer, got {s!r}",
             )
 
     test_size = raw["test_size"]
     _require(
-        isinstance(test_size, int) and test_size >= 1,
+        _numeric(test_size, integer=True) and test_size >= 1,
         f"test_size: must be a positive integer, got {test_size!r}",
     )
 
@@ -253,11 +251,11 @@ def config_from_dict(raw: dict) -> SimConfig:
     if kind == "synth":
         for key, minimum in (("classes", 2), ("features", 1), ("rows", 1)):
             _require(
-                isinstance(data.get(key), int) and data[key] >= minimum,
+                _numeric(data.get(key), integer=True) and data[key] >= minimum,
                 f"data.{key}: must be an integer >= {minimum}",
             )
         _require(
-            isinstance(data.get("separation"), (int, float)) and data["separation"] >= 0,
+            _numeric(data.get("separation")) and data["separation"] >= 0,
             "data.separation: must be a nonnegative number",
         )
     elif kind == "csv":
@@ -270,6 +268,16 @@ def config_from_dict(raw: dict) -> SimConfig:
 
     train_raw = raw["train"]
     _require(isinstance(train_raw, dict), "train: must be an object")
+    for key, integer in (
+        ("local_steps", True), ("learning_rate", False),
+        ("l2_alpha", False), ("batch_size", True),
+    ):
+        _require(key in train_raw, f"train.{key}: missing")
+        _require(
+            _numeric(train_raw[key], integer),
+            f"train.{key}: must be {'an integer' if integer else 'a number'}, "
+            f"got {train_raw[key]!r}",
+        )
     try:
         train = TrainConfig(
             local_steps=train_raw["local_steps"],
@@ -277,12 +285,12 @@ def config_from_dict(raw: dict) -> SimConfig:
             l2_alpha=train_raw["l2_alpha"],
             batch_size=train_raw["batch_size"],
         )
-    except KeyError as exc:
-        raise ConfigError(f"train.{exc.args[0]}: missing") from None
     except ValueError as exc:
         raise ConfigError(f"train: {exc}") from None
 
-    compute = raw.get("compute") or {}
+    compute = raw.get("compute")
+    if compute is None:
+        compute = {}
     _require(isinstance(compute, dict), "compute: must be an object")
     for key in compute:
         _require(key in ("client_s", "server_s"), f"compute.{key}: unknown key")
@@ -290,11 +298,13 @@ def config_from_dict(raw: dict) -> SimConfig:
     server_s = compute.get("server_s")
     for key, value in (("client_s", client_s), ("server_s", server_s)):
         _require(
-            value is None or (isinstance(value, (int, float)) and value >= 0),
+            value is None or (_numeric(value) and value >= 0),
             f"compute.{key}: must be null or a nonnegative number, got {value!r}",
         )
 
-    latencies = raw.get("latencies") or {}
+    latencies = raw.get("latencies")
+    if latencies is None:
+        latencies = {}
     _require(isinstance(latencies, dict), "latencies: must be an object of objects")
     for sender, recipients in latencies.items():
         _require(
@@ -303,7 +313,7 @@ def config_from_dict(raw: dict) -> SimConfig:
         )
         for recipient, value in recipients.items():
             _require(
-                isinstance(value, (int, float)) and value >= 0,
+                _numeric(value) and value >= 0,
                 f"latencies[{sender!r}][{recipient!r}]: must be nonnegative, got {value!r}",
             )
 

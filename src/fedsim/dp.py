@@ -1,4 +1,9 @@
-"""Differential-privacy noise samplers and sensitivity calculators.
+"""Differential-privacy calibration and noise.
+
+``calibrate`` is the one place the privacy policy lives: it decides
+whether an agent adds noise this round and returns the ``Calibration``
+(mechanism, epsilon, delta and the sensitivity's n, k, alpha) that
+``perturb_weights`` then draws from.
 
 Noise is i.i.d. per weight element.  Each agent owns a private seeded
 stream (``numpy.random.Generator``), so every sampler is deterministic for
@@ -11,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Mapping
 
 import numpy as np
 
 from .exact import ExactMatrix, to_exact
 
 Mechanism = Literal["laplace", "gaussian", "distributed_laplace"]
-Placement = Literal["local", "global_server", "distributed"]
 
 MECHANISMS = ("laplace", "gaussian", "distributed_laplace")
 PLACEMENTS = ("local", "global_server", "distributed")
@@ -29,53 +33,74 @@ _TINY = 5e-324
 
 
 @dataclass(frozen=True)
-class DpSpec:
-    """Mechanism choice plus privacy parameters and noise placement."""
+class Calibration:
+    """The parameters one noise draw is calibrated for.
+
+    ``n`` is the number of active clients, ``k`` the smallest active
+    dataset size this iteration and ``alpha`` the L2 regularization
+    strength; together they bound the sensitivity of the trained weights.
+    """
 
     mechanism: Mechanism
     epsilon: float
-    delta: float = 0.0
-    placement: Placement = "local"
+    delta: float
+    n: int
+    k: int
+    alpha: float
 
     def __post_init__(self) -> None:
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        if self.placement not in PLACEMENTS:
-            raise ValueError(f"unknown placement {self.placement!r}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0 <= self.delta < 1:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
         if self.mechanism == "gaussian" and self.delta <= 0:
             raise ValueError("gaussian mechanism requires delta > 0")
-        if self.mechanism == "distributed_laplace" and self.placement != "distributed":
-            raise ValueError("distributed_laplace requires placement 'distributed'")
+        for name in ("n", "k", "alpha"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+
+    @property
+    def sensitivity(self) -> float:
+        """Global sensitivity 2 / (n * k * alpha) of the trained weights
+        (Chaudhuri, Monteleoni & Sarwate 2011)."""
+        return 2.0 / (self.n * self.k * self.alpha)
 
 
-@dataclass(frozen=True)
-class SensitivityParams:
-    """Inputs to the regularized logistic-regression sensitivity bound.
+def calibrate(
+    config,
+    sizes: Mapping[str, list[int]],
+    active: list[str],
+    iteration: int,
+    owner: str | None = None,
+) -> Calibration | None:
+    """The calibration of the noise ``owner`` adds this iteration, or None.
 
-    ``n`` is the number of participating clients, ``k`` the size of the
-    smallest client dataset, ``alpha`` the L2 regularization strength.
+    ``owner`` names a client, or is None for the server.  Clients add
+    noise unless it is server-placed; the server adds it only then, at
+    the smallest epsilon and delta among the active clients that declare
+    an epsilon.  A client that declares none adds no noise.  ``n`` is the
+    number of ``active`` clients and ``k`` their smallest dataset size at
+    ``iteration`` in ``sizes``.
     """
-
-    n: int
-    k: int
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if self.k <= 0:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-
-def logreg_sensitivity(params: SensitivityParams) -> float:
-    """Global sensitivity 2 / (n * k * alpha) of the trained weights."""
-    return 2.0 / (params.n * params.k * params.alpha)
+    if not config.use_dp_privacy:
+        return None
+    if (owner is None) != (config.dp_placement == "global_server"):
+        return None
+    names = config.client_names()
+    indices = [names.index(c) for c in ([owner] if owner is not None else active)]
+    declaring = [i for i in indices if config.epsilons[i] is not None]
+    if not declaring:
+        return None
+    deltas = config.deltas or [0.0] * len(names)
+    k = min(sizes[c][iteration - 1] for c in active)
+    return Calibration(
+        config.mechanism,
+        float(min(config.epsilons[i] for i in declaring)),
+        float(min(deltas[i] for i in declaring)),
+        len(active), k, config.train.l2_alpha,
+    )
 
 
 def laplace_sample(
@@ -138,26 +163,23 @@ def gamma_difference_share(
 
 def perturb_weights(
     w: np.ndarray | ExactMatrix,
-    spec: DpSpec,
-    sens: SensitivityParams,
+    cal: Calibration,
     rng: np.random.Generator,
 ) -> tuple[ExactMatrix, np.ndarray]:
-    """Add mechanism noise to a weight matrix, returning the noise added.
+    """Add noise drawn at ``cal`` to a weight matrix, returning the noise added.
 
     ``w`` may be a float array or an exact matrix.  The perturbed matrix
     is exact, so ``perturbed - noise`` recovers ``w`` bit for bit.
     ``w`` itself is not modified.
     """
     w = to_exact(w)
-    delta_f = logreg_sensitivity(sens)
-    if spec.mechanism == "laplace":
-        lam = delta_f / spec.epsilon
-        noise = laplace_sample(lam, rng, size=w.shape)
-    elif spec.mechanism == "distributed_laplace":
-        lam = delta_f / spec.epsilon
-        noise = gamma_difference_share(sens.n, lam, rng, size=w.shape)
+    delta_f = cal.sensitivity
+    if cal.mechanism == "laplace":
+        noise = laplace_sample(delta_f / cal.epsilon, rng, size=w.shape)
+    elif cal.mechanism == "distributed_laplace":
+        noise = gamma_difference_share(cal.n, delta_f / cal.epsilon, rng, size=w.shape)
     else:
-        noise = gaussian_sample(delta_f, spec.epsilon, spec.delta, rng, size=w.shape)
+        noise = gaussian_sample(delta_f, cal.epsilon, cal.delta, rng, size=w.shape)
     noise = np.asarray(noise, dtype=np.float64)
     perturbed = w + to_exact(noise)
     return perturbed, noise

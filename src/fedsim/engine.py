@@ -36,7 +36,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .dp import SensitivityParams, perturb_weights
+from .dp import calibrate, perturb_weights
 from .exact import ExactMatrix, exact_mean, to_float
 from .masking import MaskSchedule, apply_masks, dh_common_key, dh_generate
 from .models import (
@@ -120,21 +120,6 @@ class IterationReport:
     dropouts: list[str] = field(default_factory=list)
 
 
-def round_sensitivity(
-    size_schedule: Mapping[str, list[int]],
-    active: list[str],
-    iteration: int,
-    alpha: float,
-) -> SensitivityParams:
-    """Sensitivity parameters in force for one iteration's active set.
-
-    ``n`` is the number of active clients and ``k`` the smallest dataset
-    size among them this iteration (Chaudhuri, Monteleoni & Sarwate 2011).
-    """
-    k = min(size_schedule[c][iteration - 1] for c in active)
-    return SensitivityParams(n=len(active), k=k, alpha=alpha)
-
-
 def federated_mean(
     contributions: Mapping[str, Any],
     iteration: int,
@@ -156,6 +141,9 @@ class ClientAgent:
     the run's validated ``SimConfig`` where it is used; the size schedule
     is the simulation's own, shared by all agents.  A client's steps
     return what it sends and when it is ready; the simulation stamps it.
+    Each round it asks ``dp.calibrate`` whether and at what calibration it
+    adds noise, over its own view of the active set, and the retrain
+    cache is keyed on that calibration.
     Each client derives three independent child streams from its seed
     (training batches, DP noise, key generation) so that toggling one
     feature never perturbs the random sequence of another.
@@ -176,10 +164,6 @@ class ClientAgent:
         self.datasets = datasets
         self.test_set = test_set
         self.size_schedule = size_schedule
-        # Server-placed noise is added by the server, not here.
-        self.dp_spec = (
-            config.dp_spec_for(index) if config.dp_placement != "global_server" else None
-        )
 
         n_features = test_set.features.shape[1]
         self.active = True
@@ -257,21 +241,16 @@ class ClientAgent:
         data = self.datasets[iteration - 1]
         started = time.perf_counter()
         cfg = self.config
-        sens = None
-        if self.dp_spec is not None:
-            sens = round_sensitivity(
-                self.size_schedule, self.active_view, iteration, cfg.train.l2_alpha
-            )
+        cal = calibrate(cfg, self.size_schedule, self.active_view, iteration, self.name)
         if cfg.algorithm == "incremental":
             result = client_round_incremental(
-                self.federated_weights, data, cfg.train, self.dp_spec, sens,
+                self.federated_weights, data, cfg.train, cal,
                 self._train_rng, self._noise_rng,
             )
         else:
             result = client_round_retrain(
                 self.federated_weights, data, self._cache, cfg.tolerance,
-                cfg.train, self.dp_spec, sens,
-                self._train_rng, self._noise_rng,
+                cfg.train, cal, self._train_rng, self._noise_rng,
             )
             self._cache = result
         self._clean[iteration] = result.clean
@@ -387,8 +366,9 @@ class ServerAgent:
 
     Like the clients, it reads the run's ``SimConfig`` and shares the
     simulation's one size schedule; the simulation stamps every envelope
-    from its one latency table.  Its noise
-    stream is seeded from ``config.server_seed``.
+    from its one latency table.  ``dp.calibrate`` decides whether it
+    adds noise to the mean; its noise stream is seeded from
+    ``config.server_seed``.
     """
 
     def __init__(self, config, size_schedule: Mapping[str, list[int]]):
@@ -404,17 +384,14 @@ class ServerAgent:
         active: list[str],
     ) -> ExactMatrix:
         """Average the received matrices (canonical order, optionally
-        dataset-size weighted), then add server-placed noise if configured."""
+        dataset-size weighted), then add server-placed noise, if any."""
         fed = federated_mean(
             {c: replies[c].body["weights"] for c in active},
             iteration, self.size_schedule, self.config.weighted_averaging,
         )
-        spec = self.config.global_dp_for(active)
-        if spec is not None:
-            sens = round_sensitivity(
-                self.size_schedule, active, iteration, self.config.train.l2_alpha
-            )
-            fed, _ = perturb_weights(fed, spec, sens, self._noise_rng)
+        cal = calibrate(self.config, self.size_schedule, active, iteration)
+        if cal is not None:
+            fed, _ = perturb_weights(fed, cal, self._noise_rng)
         return fed
 
 

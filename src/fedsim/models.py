@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dp import DpSpec, SensitivityParams, perturb_weights
+from .dp import Calibration, perturb_weights
 from .exact import ExactMatrix, to_exact, to_float
 
 
@@ -216,8 +216,9 @@ class ClientRound(NamedTuple):
 
     ``weights`` is what the client sends: the trained weights plus its
     noise, exact when noise was added.  ``record`` holds that noise,
-    ``clean`` the float weights before it, and ``sens`` the sensitivity
-    parameters the noise was calibrated for.  ``trained`` is False only
+    ``clean`` the float weights before it, and ``calibration`` what the
+    noise was drawn at (None when none was added); the retrain cache is
+    reused only under the same calibration.  ``trained`` is False only
     when the retrain cache was reused.
     """
 
@@ -225,40 +226,35 @@ class ClientRound(NamedTuple):
     record: np.ndarray
     trained: bool
     clean: np.ndarray
-    sens: SensitivityParams | None
+    calibration: Calibration | None
 
 
 def _finish_round(
-    trained: np.ndarray,
-    dp: DpSpec | None,
-    sens: SensitivityParams | None,
-    rng: np.random.Generator,
+    trained: np.ndarray, cal: Calibration | None, noise_rng: np.random.Generator
 ) -> ClientRound:
-    if dp is None:
-        return ClientRound(trained, np.zeros_like(trained), True, trained, sens)
-    if sens is None:
-        raise ValueError("sensitivity parameters are required when dp is enabled")
-    perturbed, noise = perturb_weights(trained, dp, sens, rng)
-    return ClientRound(perturbed, noise, True, trained, sens)
+    if cal is None:
+        return ClientRound(trained, np.zeros_like(trained), True, trained, None)
+    perturbed, noise = perturb_weights(trained, cal, noise_rng)
+    return ClientRound(perturbed, noise, True, trained, cal)
 
 
 def client_round_incremental(
     server_w: np.ndarray,
     fresh_data: Dataset,
     cfg: TrainConfig,
-    dp: DpSpec | None,
-    sens: SensitivityParams | None,
+    cal: Calibration | None,
     rng: np.random.Generator,
-    noise_rng: np.random.Generator | None = None,
+    noise_rng: np.random.Generator,
 ) -> ClientRound:
     """One client round of the fresh-data algorithm.
 
     Trains from the current federated weights on this iteration's new data
-    only, then perturbs the result per ``dp`` (no-op when ``dp`` is None,
-    in which case the plain trained weights are sent).
+    only (batches from ``rng``), then adds noise drawn at ``cal`` from
+    ``noise_rng`` (none when ``cal`` is None, in which case the plain
+    trained weights are sent).
     """
     trained = sgd_train(fresh_data, server_w, cfg, rng)
-    return _finish_round(trained, dp, sens, noise_rng if noise_rng is not None else rng)
+    return _finish_round(trained, cal, noise_rng)
 
 
 def client_round_retrain(
@@ -267,19 +263,18 @@ def client_round_retrain(
     cached: ClientRound | None,
     tolerance: float,
     cfg: TrainConfig,
-    dp: DpSpec | None,
-    sens: SensitivityParams | None,
+    cal: Calibration | None,
     rng: np.random.Generator,
-    noise_rng: np.random.Generator | None = None,
+    noise_rng: np.random.Generator,
 ) -> ClientRound:
     """One client round of the cumulative-retrain algorithm.
 
     Retrains from scratch (zero init, ignoring ``server_w``) on the entire
     local dataset unless the federated weights already sit within
     ``tolerance`` of the cached noisy weights and the cached noise was
-    calibrated for the same ``sens``, in which case the cached round is
-    returned with ``trained`` False.  Noise drawn for another active set
-    is never reused: it would mis-calibrate this round's aggregate.
+    drawn at the same ``cal``, in which case the cached round is returned
+    with ``trained`` False.  Noise drawn for another active set is never
+    reused: it would mis-calibrate this round's aggregate.
     """
     server_w = np.asarray(server_w, dtype=np.float64)
     if cached is not None:
@@ -288,7 +283,7 @@ def client_round_retrain(
             raise ValueError(
                 f"shape mismatch: cached {cached_w.shape} vs server {server_w.shape}"
             )
-        if cached.sens == sens and np.max(np.abs(server_w - cached_w)) <= tolerance:
+        if cached.calibration == cal and np.max(np.abs(server_w - cached_w)) <= tolerance:
             return cached._replace(trained=False)
     trained = sgd_train(cumulative_data, np.zeros_like(server_w), cfg, rng)
-    return _finish_round(trained, dp, sens, noise_rng if noise_rng is not None else rng)
+    return _finish_round(trained, cal, noise_rng)

@@ -34,6 +34,12 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "num_clients" in capsys.readouterr().err
 
+    def test_non_integer_seed_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(base_config_dict(data_seed="abc")))
+        assert main(["validate", str(path)]) == 1
+        assert "data_seed" in capsys.readouterr().err
+
     def test_unparsable_config_exits_1(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops")

@@ -1,6 +1,7 @@
 """Tests for configuration validation, partitioning, synthesis and reports."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fedsim.config import (
     partition_dataset,
     synth_dataset,
 )
+from fedsim.dp import calibrate
 from fedsim.models import Dataset, TrainConfig, evaluate, sgd_train, zero_weights
 
 
@@ -111,8 +113,10 @@ class TestLoadConfig:
         config = make_config(
             use_dp_privacy=True, mechanism="laplace", epsilons=[1.0, None, 0.5]
         )
-        assert config.dp_spec_for(0) is not None
-        assert config.dp_spec_for(1) is None
+        sizes = {c: [20] for c in config.client_names()}
+        names = config.client_names()
+        assert calibrate(config, sizes, names, 1, "client_agent0") is not None
+        assert calibrate(config, sizes, names, 1, "client_agent1") is None
 
     def test_global_dp_uses_minimum_epsilon(self):
         config = make_config(
@@ -121,10 +125,11 @@ class TestLoadConfig:
             dp_placement="global_server",
             epsilons=[1.0, 0.25, 4.0],
         )
-        spec = config.global_dp_for(["client_agent0", "client_agent2"])
-        assert spec.epsilon == 1.0
-        spec = config.global_dp_for(config.client_names())
-        assert spec.epsilon == 0.25
+        sizes = {c: [20] for c in config.client_names()}
+        cal = calibrate(config, sizes, ["client_agent0", "client_agent2"], 1)
+        assert cal.epsilon == 1.0
+        cal = calibrate(config, sizes, config.client_names(), 1)
+        assert cal.epsilon == 0.25
 
     def test_weighted_averaging_defaults_off(self):
         assert make_config().weighted_averaging is False
@@ -142,6 +147,74 @@ class TestLoadConfig:
                 mechanism="laplace",
                 epsilons=[1.0, 1.0, 1.0],
             )
+
+
+def _set(path: str, value) -> dict:
+    """The base document with the dotted ``path`` set to ``value``."""
+    raw = base_config_dict()
+    *parents, key = path.split(".")
+    target = raw
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    return raw
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("num_clients", True),
+            ("num_iterations", True),
+            ("test_size", True),
+            ("tolerance", True),
+            ("tolerance", float("inf")),
+            ("seeds", [11, True, 33]),
+            ("seeds", [11, -1, 33]),
+            ("dataset_sizes", [[20, True, 20], [20, 20, 20], [20, 20, 20]]),
+            ("data.features", True),
+            ("data.separation", True),
+            ("epsilons", [True, None, None]),
+            ("epsilons", [float("inf"), None, None]),
+            ("deltas", [False, 0.0, 0.0]),
+            ("data_seed", "abc"),
+            ("data_seed", -1),
+            ("data_seed", 1.5),
+            ("data_seed", True),
+            ("server_seed", "abc"),
+            ("server_seed", -1),
+            ("server_seed", 1.5),
+            ("train.local_steps", 2.5),
+            ("train.local_steps", True),
+            ("train.batch_size", 2.5),
+            ("train.learning_rate", "0.5"),
+            ("train.l2_alpha", "0.01"),
+            ("train.learning_rate", float("inf")),
+            ("train.l2_alpha", float("nan")),
+            ("compute", []),
+            ("compute.client_s", True),
+            ("compute.server_s", float("inf")),
+            ("latencies", 0),
+            ("latencies", []),
+        ],
+    )
+    def test_rejected_with_the_field_named(self, path, value):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}(\[\d+\])*: "):
+            config_from_dict(_set(path, value))
+
+    @pytest.mark.parametrize("key", ["compute", "latencies"])
+    def test_null_object_reads_as_absent(self, key):
+        config = config_from_dict(base_config_dict(**{key: None}))
+        assert config == config_from_dict(
+            {k: v for k, v in base_config_dict().items() if k != key}
+        )
+
+    def test_integral_numbers_keep_their_values(self):
+        config = config_from_dict(
+            base_config_dict(tolerance=1, data_seed=0, server_seed=7)
+        )
+        assert config.to_dict()["tolerance"] == 1.0
+        assert (config.data_seed, config.server_seed) == (0, 7)
 
 
 class TestPartitionDataset:

@@ -17,7 +17,7 @@ from fedsim.engine import (
     SimulationError,
     run_simulation,
 )
-from fedsim.dp import laplace_sample
+from fedsim.dp import gamma_difference_share, laplace_sample
 from fedsim.exact import exact_mean, to_exact, to_float
 from fedsim.masking import GROUP_PRIME, DhKeyPair
 
@@ -398,6 +398,38 @@ class TestNoiseCalibration:
         assert np.array_equal(
             to_float(reply["weights"]), to_float(to_exact(clean) + to_exact(noise))
         )
+
+
+    def test_distributed_share_follows_the_active_set(self):
+        # after a dropout each share is drawn at the new n, so the
+        # survivors' shares still sum to one Laplace draw
+        sim = make_simulation(
+            use_dp_privacy=True,
+            mechanism="distributed_laplace",
+            dp_placement="distributed",
+            epsilons=[1.0, 2.0, 0.5],
+            dataset_sizes=CALIBRATION_SIZES,
+        )
+        alpha = sim.config.train.l2_alpha
+        two_of_three = ["client_agent1", "client_agent2"]
+        sim.offline_phase()
+        sim.run_round(1)
+        sim.run_round(2, two_of_three)
+        noisy = []
+        for c in two_of_three:
+            i = sim.client_names.index(c)
+            epsilon = sim.config.epsilons[i]
+            _, noise_seq, _ = np.random.SeedSequence(sim.config.seeds[i]).spawn(3)
+            rng = np.random.default_rng(noise_seq)
+            clean = sim.directory[c].clean_weights(2)
+            gamma_difference_share(3, 2.0 / (3 * 10 * alpha) / epsilon, rng, clean.shape)
+            noise = gamma_difference_share(
+                2, 2.0 / (2 * 20 * alpha) / epsilon, rng, clean.shape
+            )
+            noisy.append(to_exact(clean) + to_exact(noise))
+        expected = to_float(exact_mean(noisy))
+        for c in two_of_three:
+            assert np.array_equal(sim.directory[c].federated_weights, expected)
 
 
 class TestServerlessRound:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedsim.dp import DpSpec, SensitivityParams, perturb_weights
+from fedsim.dp import Calibration, perturb_weights
 from fedsim.exact import to_exact, to_float
 from fedsim.masking import (
     GROUP_GENERATOR,
@@ -388,8 +388,7 @@ class TestApplyMasks:
             # a noisy exact matrix, as the engine hands it to apply_masks
             w, _ = perturb_weights(
                 w,
-                DpSpec("distributed_laplace", 1.0, placement="distributed"),
-                SensitivityParams(n=len(active), k=10, alpha=0.1),
+                Calibration("distributed_laplace", 1.0, 0.0, n=len(active), k=10, alpha=0.1),
                 np.random.default_rng(iteration),
             )
         schedule = _SCHEDULES_FOR_PROPERTY[owner]

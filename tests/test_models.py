@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedsim.dp import DpSpec, SensitivityParams
+from fedsim.dp import Calibration
 from fedsim.exact import exact_mean, to_exact, to_float
 from fedsim.models import (
     Dataset,
@@ -321,22 +321,22 @@ class TestClientRoundIncremental:
     def setup_method(self):
         self.data = separable_dataset(np.random.default_rng(31))
         self.cfg = TrainConfig(local_steps=20, learning_rate=0.5, l2_alpha=0.01, batch_size=8)
-        self.sens = SensitivityParams(3, 40, 0.01)
+        self.cal = Calibration("distributed_laplace", 1.0, 0.0, 3, 40, 0.01)
 
     def test_no_noise_path_equals_sgd_output(self):
         w0 = zero_weights(2, 2)
         trained = sgd_train(self.data, w0, self.cfg, np.random.default_rng(33))
         result = client_round_incremental(
-            w0, self.data, self.cfg, None, None, np.random.default_rng(33)
+            w0, self.data, self.cfg, None,
+            np.random.default_rng(33), np.random.default_rng(0),
         )
         assert np.array_equal(result.weights, trained)
         assert np.array_equal(result.clean, trained)
         assert np.all(result.record == 0)
 
     def test_record_matches_perturbation_exactly(self):
-        spec = DpSpec("distributed_laplace", epsilon=1.0, placement="distributed")
         result = client_round_incremental(
-            zero_weights(2, 2), self.data, self.cfg, spec, self.sens,
+            zero_weights(2, 2), self.data, self.cfg, self.cal,
             np.random.default_rng(34), np.random.default_rng(35),
         )
         trained = sgd_train(self.data, zero_weights(2, 2), self.cfg, np.random.default_rng(34))
@@ -344,7 +344,7 @@ class TestClientRoundIncremental:
             to_float(result.weights - to_exact(result.record)), trained
         )
         assert np.array_equal(result.clean, trained)
-        assert result.sens == self.sens
+        assert result.calibration == self.cal
 
 
 class TestClientRoundRetrain:
@@ -359,18 +359,18 @@ class TestClientRoundRetrain:
     def test_first_round_always_retrains(self):
         result = client_round_retrain(
             zero_weights(2, 2), self._subset(40), None, 1e-6, self.cfg,
-            None, None, np.random.default_rng(1),
+            None, np.random.default_rng(1), np.random.default_rng(0),
         )
         assert result.trained
 
     def test_matching_cache_is_returned_unchanged(self):
         cached = client_round_retrain(
             zero_weights(2, 2), self._subset(40), None, 1e-6, self.cfg,
-            None, None, np.random.default_rng(2),
+            None, np.random.default_rng(2), np.random.default_rng(0),
         )
         out = client_round_retrain(
             to_float(cached.weights), self._subset(40), cached, 1e-6, self.cfg,
-            None, None, np.random.default_rng(3),
+            None, np.random.default_rng(3), np.random.default_rng(0),
         )
         assert not out.trained
         assert out.weights is cached.weights
@@ -380,46 +380,47 @@ class TestClientRoundRetrain:
     def test_distant_server_weights_force_retrain(self):
         cached = client_round_retrain(
             zero_weights(2, 2), self._subset(40), None, 1e-6, self.cfg,
-            None, None, np.random.default_rng(4),
+            None, np.random.default_rng(4), np.random.default_rng(0),
         )
         far = to_float(cached.weights) + 1.0
         out = client_round_retrain(
             far, self._subset(40), cached, 1e-6, self.cfg,
-            None, None, np.random.default_rng(5),
+            None, np.random.default_rng(5), np.random.default_rng(0),
         )
         assert out.trained
 
     def test_noise_drawn_for_another_active_set_forces_retrain(self):
         # distributed Laplace shares drawn for n=3 under-noise a round with
         # n=2, so a cache hit after a dropout must not reuse them
-        spec = DpSpec("distributed_laplace", epsilon=1.0, placement="distributed")
+        at_three = Calibration("distributed_laplace", 1.0, 0.0, 3, 40, 0.01)
+        at_two = Calibration("distributed_laplace", 1.0, 0.0, 2, 40, 0.01)
         cached = client_round_retrain(
             zero_weights(2, 2), self._subset(40), None, 1e-6, self.cfg,
-            spec, SensitivityParams(3, 40, 0.01), np.random.default_rng(7),
+            at_three, np.random.default_rng(7), np.random.default_rng(17),
         )
         server_w = to_float(cached.weights)
         same = client_round_retrain(
             server_w, self._subset(40), cached, 1e-6, self.cfg,
-            spec, SensitivityParams(3, 40, 0.01), np.random.default_rng(8),
+            at_three, np.random.default_rng(8), np.random.default_rng(18),
         )
         assert not same.trained
         after_dropout = client_round_retrain(
             server_w, self._subset(40), cached, 1e-6, self.cfg,
-            spec, SensitivityParams(2, 40, 0.01), np.random.default_rng(8),
+            at_two, np.random.default_rng(8), np.random.default_rng(18),
         )
         assert after_dropout.trained
-        assert after_dropout.sens == SensitivityParams(2, 40, 0.01)
+        assert after_dropout.calibration == at_two
         assert after_dropout.record is not cached.record
 
     def test_retrain_ignores_server_weights_as_initializer(self):
         # retraining starts from zeros regardless of the received weights
         from_far = client_round_retrain(
             np.full((2, 3), 50.0), self._subset(40), None, 1e-6, self.cfg,
-            None, None, np.random.default_rng(6),
+            None, np.random.default_rng(6), np.random.default_rng(0),
         )
         from_zero = client_round_retrain(
             zero_weights(2, 2), self._subset(40), None, 1e-6, self.cfg,
-            None, None, np.random.default_rng(6),
+            None, np.random.default_rng(6), np.random.default_rng(0),
         )
         assert np.array_equal(from_far.weights, from_zero.weights)
 
@@ -432,7 +433,7 @@ class TestClientRoundRetrain:
         for rows in (40, 80, 120):
             cached = client_round_retrain(
                 np.full((2, 3), 100.0), self._subset(rows), cached, 1e-9,
-                self.cfg, None, None, rng,
+                self.cfg, None, rng, np.random.default_rng(0),
             )
             assert cached.trained
             losses.append(loss(to_float(cached.weights), self.full, self.cfg.l2_alpha))
