@@ -48,6 +48,7 @@ from .models import (
     Dataset,
     EvalReport,
     TrainConfig,
+    TrainJob,
     client_round_incremental,
     client_round_retrain,
     converged,
@@ -55,6 +56,7 @@ from .models import (
     gradient,
     loss,
     sgd_train,
+    sgd_train_cohort,
     subtract_own_noise,
     zero_weights,
 )

@@ -465,6 +465,25 @@ def synth_dataset(
     Class means sit on coordinate axes ``separation`` apart; labels are
     balanced to within one row and the rows are shuffled.
     """
+    blobs, order = _synth_blobs(classes, features, rows, separation, rng)
+    return Dataset(blobs.features[order], blobs.labels[order])
+
+
+def _synth_blobs(
+    classes: int,
+    features: int,
+    rows: int,
+    separation: float,
+    rng: np.random.Generator,
+) -> tuple[Dataset, np.ndarray]:
+    """The blobs of ``synth_dataset`` in label order, and the row order
+    that shuffles them into its output.
+
+    The class means are added in place, one class slice at a time, so the
+    source is allocated once, and a caller that gathers rows of the
+    shuffled source indexes ``order`` instead of building the shuffled
+    copy.
+    """
     if classes < 2:
         raise ValueError(f"classes must be >= 2, got {classes}")
     if features < 1:
@@ -478,9 +497,12 @@ def synth_dataset(
         means[c, c % features] = separation * (1 + c // features)
     counts = [rows // classes + (1 if c < rows % classes else 0) for c in range(classes)]
     labels = np.concatenate([np.full(k, c, dtype=np.int64) for c, k in enumerate(counts)])
-    points = means[labels] + rng.standard_normal((rows, features))
-    order = rng.permutation(rows)
-    return Dataset(points[order], labels[order])
+    points = rng.standard_normal((rows, features))
+    start = 0
+    for c, k in enumerate(counts):
+        points[start : start + k] += means[c]
+        start += k
+    return Dataset(points, labels), rng.permutation(rows)
 
 
 def load_csv_dataset(path: str | Path, label_column: str) -> Dataset:
@@ -526,7 +548,7 @@ def build_inputs(
 ) -> tuple[list[list[Dataset]], Dataset]:
     """Materialize the configured data source into engine-ready datasets."""
     if config.data["kind"] == "synth":
-        source = synth_dataset(
+        source, order = _synth_blobs(
             classes=config.data["classes"],
             features=config.data["features"],
             rows=config.data["rows"],
@@ -536,9 +558,19 @@ def build_inputs(
     else:
         csv_path = Path(base_dir) / config.data["path"]
         source = load_csv_dataset(csv_path, config.data["label_column"])
+        order = None
     plan = partition_dataset(
         source, config, np.random.default_rng(np.random.SeedSequence(config.data_seed))
     )
+    if order is not None:
+        # row i of the shuffled synthetic source is row order[i] of ``source``
+        plan = PartitionPlan(
+            client_iteration_rows=[
+                [order[rows] for rows in per_client]
+                for per_client in plan.client_iteration_rows
+            ],
+            test_rows=order[plan.test_rows],
+        )
     return materialize(source, plan)
 
 

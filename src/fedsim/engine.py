@@ -5,11 +5,14 @@ server agent) and drives them through an offline key exchange followed by
 numbered iterations.  All timing is simulated: every message carries a
 ``sim_time`` stamp computed from declared latencies and compute durations,
 never from the wall clock, and each iteration's clock restarts at zero.
-Clients compute concurrently in simulated time but run one after another
-on the host, in name order.  Each client owns its state and random
-streams, and aggregation happens over exact matrices (integer numerators
-over a shared denominator, see ``exact``) in name order, so the order of
-host execution never shows in the results.  Agents return message
+Clients compute concurrently in simulated time.  On the host, a round
+first trains its clients together: clients with the same row count train
+in lock step in one stacked kernel call, with weights equal to training
+each alone; then each client, in name order, adds its noise and masks
+and sends.  Each client owns its state and random streams, and
+aggregation happens over exact matrices (integer numerators over a
+shared denominator, see ``exact``) in name order, so the order of host
+execution never shows in the results.  Agents return message
 bodies with the time they are ready.  ``Simulation._send`` builds every
 message between two agents, stamps it with its sender's ready time plus
 the link latency (the offline key exchange is untimed) and counts it by
@@ -36,17 +39,20 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .dp import calibrate, perturb_weights
+from .dp import Calibration, calibrate, perturb_weights
 from .exact import ExactMatrix, exact_mean, to_float
 from .masking import MaskSchedule, apply_masks, dh_common_key, dh_generate
 from .models import (
     ClientRound,
     Dataset,
     EvalReport,
-    client_round_incremental,
-    client_round_retrain,
+    TrainJob,
     converged,
     evaluate,
+    finish_round,
+    reuse_cached_round,
+    sgd_train,
+    sgd_train_cohort,
     subtract_own_noise,
     zero_weights,
 )
@@ -107,6 +113,23 @@ class MessageCounters:
     online_client_client: int = 0
     client_server: int = 0
     server_client: int = 0
+
+
+@dataclass
+class PendingRound:
+    """A client's round between its training job and what it sends.
+
+    ``job`` is None when ``reused`` holds the retrain cache's round.
+    ``weights`` are the trained weights once they are handed back, and
+    ``seconds`` the host time charged to the client so far.
+    """
+
+    iteration: int
+    cal: Calibration | None
+    job: TrainJob | None
+    reused: ClientRound | None
+    seconds: float
+    weights: np.ndarray | None = None
 
 
 @dataclass
@@ -183,6 +206,7 @@ class ClientAgent:
         self._clean: dict[int, np.ndarray] = {}
         self._records: dict[int, np.ndarray] = {}
         self._cache: ClientRound | None = None
+        self._pending: PendingRound | None = None
         self._compute: dict[int, float] = {}
         self._evals: dict[int, EvalReport] = {}
         self._receipts: dict[int, float] = {}
@@ -233,25 +257,60 @@ class ClientAgent:
 
     # -- online phase ----------------------------------------------------
 
-    def _train_and_mask(self, iteration: int) -> tuple[np.ndarray, float]:
+    def training_job(self, iteration: int) -> TrainJob | None:
+        """Open this iteration's round: calibrate over the active view and
+        return the training it needs, or None when the retrain cache is
+        reused.  The simulation trains the job and hands the weights back
+        through ``take_trained``."""
         if iteration - 1 >= len(self.datasets):
             raise ProtocolError(
                 f"{self.name} has no data for iteration {iteration}"
             )
-        data = self.datasets[iteration - 1]
         started = time.perf_counter()
         cfg = self.config
         cal = calibrate(cfg, self.size_schedule, self.active_view, iteration, self.name)
+        data = self.datasets[iteration - 1]
+        reused = None
         if cfg.algorithm == "incremental":
-            result = client_round_incremental(
-                self.federated_weights, data, cfg.train, cal,
-                self._train_rng, self._noise_rng,
-            )
+            init = self.federated_weights
         else:
-            result = client_round_retrain(
-                self.federated_weights, data, self._cache, cfg.tolerance,
-                cfg.train, cal, self._train_rng, self._noise_rng,
+            reused = reuse_cached_round(
+                self.federated_weights, self._cache, cfg.tolerance, cal
             )
+            init = np.zeros_like(self.federated_weights)
+        job = TrainJob(data, init, self._train_rng) if reused is None else None
+        self._pending = PendingRound(
+            iteration, cal, job, reused, time.perf_counter() - started
+        )
+        return job
+
+    def take_trained(self, iteration: int, weights: np.ndarray, seconds: float) -> None:
+        """Accept the trained weights of this iteration's job, with the
+        host time its training is charged."""
+        pending = self._pending
+        if pending is None or pending.iteration != iteration or pending.job is None:
+            raise ProtocolError(f"{self.name} has no iteration-{iteration} job to train")
+        pending.weights = weights
+        pending.seconds += seconds
+
+    def _train_and_mask(self, iteration: int) -> tuple[np.ndarray, float]:
+        cfg = self.config
+        pending = self._pending
+        if pending is None or pending.iteration != iteration:
+            # driven on its own rather than by Simulation.run_round
+            job = self.training_job(iteration)
+            if job is not None:
+                started = time.perf_counter()
+                weights = sgd_train(job.data, job.init, cfg.train, job.rng)
+                self.take_trained(iteration, weights, time.perf_counter() - started)
+            pending = self._pending
+        self._pending = None
+        started = time.perf_counter()
+        if pending.reused is not None:
+            result = pending.reused
+        else:
+            result = finish_round(pending.weights, pending.cal, self._noise_rng)
+        if cfg.algorithm == "retrain":
             self._cache = result
         self._clean[iteration] = result.clean
         self._records[iteration] = result.record
@@ -266,7 +325,7 @@ class ClientAgent:
         duration = (
             cfg.client_compute_s
             if cfg.client_compute_s is not None
-            else time.perf_counter() - started
+            else pending.seconds + time.perf_counter() - started
         )
         self._compute[iteration] = duration
         self._current_iteration = iteration
@@ -530,6 +589,7 @@ class Simulation:
                 self.directory[name].sync_active_view(self.active)
         if not self.active:
             raise SimulationError("no active clients remain")
+        self._train_cohorts(iteration, list(self.active))
         if self.config.topology == "centralized":
             report = self._server_round(iteration, list(self.active))
         else:
@@ -538,6 +598,34 @@ class Simulation:
             self.directory[name].retire()
         self.active = [c for c in self.active if c not in report.dropouts]
         return report
+
+    def _train_cohorts(self, iteration: int, active: list[str]) -> None:
+        """Train the round's clients before it is dispatched.
+
+        Each active client returns its training job, in name order.  Jobs
+        with one row count form a cohort that trains in one call of
+        ``sgd_train_cohort``, and each of its clients is charged an equal
+        share of that call's host time.  A cache-hit client has no job.
+        """
+        jobs = {}
+        for c in active:
+            job = self._invoke(c, iteration, self.directory[c].training_job, iteration)
+            if job is not None:
+                jobs[c] = job
+        cohorts: dict[int, list[str]] = {}
+        for c, job in jobs.items():
+            cohorts.setdefault(len(job.data), []).append(c)
+        for names in cohorts.values():
+            started = time.perf_counter()
+            try:
+                trained = sgd_train_cohort([jobs[c] for c in names], self.config.train)
+            except Exception as exc:
+                raise SimulationError(
+                    f"agents {names} failed during iteration {iteration}: {exc}"
+                ) from exc
+            share = (time.perf_counter() - started) / len(names)
+            for c, weights in zip(names, trained):
+                self.directory[c].take_trained(iteration, weights, share)
 
     def _server_round(self, iteration: int, active: list[str]) -> IterationReport:
         server = self.server

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,6 +136,78 @@ def gradient(w: np.ndarray, data: Dataset, l2_alpha: float) -> np.ndarray:
     return _gradient(w, _augment(data.features), data.labels, l2_alpha)
 
 
+@dataclass(frozen=True)
+class TrainJob:
+    """One client's training for one round: its data, start weights and
+    batch stream.  Construction checks the data against the weights."""
+
+    data: Dataset
+    init: np.ndarray
+    rng: np.random.Generator
+
+    def __post_init__(self) -> None:
+        if len(self.data) == 0:
+            raise ValueError("cannot train on an empty dataset")
+        object.__setattr__(self, "init", np.asarray(self.init, dtype=np.float64))
+        _check_shapes(self.data, self.init)
+
+
+def sgd_train_cohort(jobs: Sequence[TrainJob], cfg: TrainConfig) -> list[np.ndarray]:
+    """Train jobs with one row count in lock step; return their weights in order.
+
+    Each job runs exactly ``cfg.local_steps`` minibatch gradient steps from
+    its ``init``, with minibatches cycling through a permutation drawn from
+    its own ``rng`` and a fresh one after each full pass.  The cohort's
+    weights are one (k, C, F+1) array, and every step runs the float
+    operations of ``_gradient``, in its order, once over the whole stack.
+    A stacked matmul runs one 2-D gemm per job and reductions over the
+    class axis sum in 2-D order, so every result equals that job trained
+    on its own bit for bit.  No ``init`` is modified.
+    """
+    if not jobs:
+        return []
+    n = len(jobs[0].data)
+    shape = jobs[0].init.shape
+    for job in jobs:
+        if len(job.data) != n:
+            raise ValueError(f"cohort mixes row counts {n} and {len(job.data)}")
+        if job.init.shape != shape:
+            raise ValueError(f"cohort mixes weight shapes {shape} and {job.init.shape}")
+    w = np.stack([job.init for job in jobs])
+    # every pass refills these in place with each job's rows in its batch
+    # order, augmented by the bias 1, and its labels one-hot; so the batch
+    # views into them stay valid
+    x = np.ones((len(jobs), n, shape[1]))
+    onehot = np.empty((len(jobs), n, shape[0]))
+    classes = np.arange(shape[0])
+    batches = [
+        (x[:, start : start + cfg.batch_size], onehot[:, start : start + cfg.batch_size])
+        for start in range(0, n, cfg.batch_size)
+    ]
+    w_t = w.transpose(0, 2, 1)
+    for step in range(cfg.local_steps):
+        position = step % len(batches)
+        if position == 0:
+            for i, job in enumerate(jobs):
+                order = job.rng.permutation(n)
+                x[i, :, :-1] = job.data.features[order]
+                np.equal(job.data.labels[order, None], classes, out=onehot[i])
+        xb, yb = batches[position]
+        probs = xb @ w_t
+        # a max is exact in any order; over a class-major copy it is one
+        # vectorised pass per class instead of one short loop per row
+        probs -= probs.transpose(0, 2, 1).copy().max(axis=1)[:, :, None]
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=2, keepdims=True)
+        probs -= yb
+        grad = probs.transpose(0, 2, 1) @ xb
+        grad /= xb.shape[1]
+        grad += cfg.l2_alpha * w
+        grad *= cfg.learning_rate
+        w -= grad
+    return [own.copy() for own in w]
+
+
 def sgd_train(
     data: Dataset,
     init: np.ndarray,
@@ -145,27 +217,10 @@ def sgd_train(
     """Run exactly ``cfg.local_steps`` minibatch gradient steps from ``init``.
 
     Minibatches cycle through a seeded permutation of the data, reshuffling
-    after each full pass.  ``init`` is not modified.
+    after each full pass.  ``init`` is not modified.  This is the one-job
+    call of ``sgd_train_cohort``.
     """
-    if len(data) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    init = np.asarray(init, dtype=np.float64)
-    _check_shapes(data, init)
-    w = init.copy()
-    x = _augment(data.features)
-    n = len(data)
-    order = rng.permutation(n)
-    cursor = 0
-    for _ in range(cfg.local_steps):
-        if cursor >= n:
-            order = rng.permutation(n)
-            cursor = 0
-        batch_idx = order[cursor : cursor + cfg.batch_size]
-        cursor += cfg.batch_size
-        w -= cfg.learning_rate * _gradient(
-            w, x[batch_idx], data.labels[batch_idx], cfg.l2_alpha
-        )
-    return w
+    return sgd_train_cohort([TrainJob(data, init, rng)], cfg)[0]
 
 
 def converged(local: np.ndarray, federated: np.ndarray, tolerance: float) -> bool:
@@ -229,9 +284,11 @@ class ClientRound(NamedTuple):
     calibration: Calibration | None
 
 
-def _finish_round(
+def finish_round(
     trained: np.ndarray, cal: Calibration | None, noise_rng: np.random.Generator
 ) -> ClientRound:
+    """The round that sends ``trained``: plain without ``cal``, otherwise
+    with noise drawn at ``cal`` from ``noise_rng`` and recorded."""
     if cal is None:
         return ClientRound(trained, np.zeros_like(trained), True, trained, None)
     perturbed, noise = perturb_weights(trained, cal, noise_rng)
@@ -254,7 +311,7 @@ def client_round_incremental(
     trained weights are sent).
     """
     trained = sgd_train(fresh_data, server_w, cfg, rng)
-    return _finish_round(trained, cal, noise_rng)
+    return finish_round(trained, cal, noise_rng)
 
 
 def client_round_retrain(
@@ -276,14 +333,30 @@ def client_round_retrain(
     with ``trained`` False.  Noise drawn for another active set is never
     reused: it would mis-calibrate this round's aggregate.
     """
+    reused = reuse_cached_round(server_w, cached, tolerance, cal)
+    if reused is not None:
+        return reused
+    trained = sgd_train(cumulative_data, np.zeros(np.shape(server_w)), cfg, rng)
+    return finish_round(trained, cal, noise_rng)
+
+
+def reuse_cached_round(
+    server_w: np.ndarray,
+    cached: ClientRound | None,
+    tolerance: float,
+    cal: Calibration | None,
+) -> ClientRound | None:
+    """The cached retrain round, marked untrained, when the federated
+    weights sit within ``tolerance`` of its noisy weights and its noise was
+    drawn at ``cal``; otherwise None and the client retrains."""
+    if cached is None:
+        return None
     server_w = np.asarray(server_w, dtype=np.float64)
-    if cached is not None:
-        cached_w = to_float(cached.weights)
-        if cached_w.shape != server_w.shape:
-            raise ValueError(
-                f"shape mismatch: cached {cached_w.shape} vs server {server_w.shape}"
-            )
-        if cached.calibration == cal and np.max(np.abs(server_w - cached_w)) <= tolerance:
-            return cached._replace(trained=False)
-    trained = sgd_train(cumulative_data, np.zeros_like(server_w), cfg, rng)
-    return _finish_round(trained, cal, noise_rng)
+    cached_w = to_float(cached.weights)
+    if cached_w.shape != server_w.shape:
+        raise ValueError(
+            f"shape mismatch: cached {cached_w.shape} vs server {server_w.shape}"
+        )
+    if cached.calibration == cal and np.max(np.abs(server_w - cached_w)) <= tolerance:
+        return cached._replace(trained=False)
+    return None

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import fedsim.engine as engine_module
 from conftest import base_config_dict, make_simulation, make_skewed_dropout_simulation
 from fedsim.config import build_inputs, config_from_dict
 from fedsim.engine import (
@@ -609,6 +610,100 @@ class TestSerialExecution:
         report = sim.run_round(1)
         wall = time.perf_counter() - started
         assert sum(report.compute_s.values()) <= wall
+
+
+class TestCohortTraining:
+    NAMES = ["client_agent0", "client_agent1", "client_agent2", "client_agent3"]
+    RETRAIN = dict(algorithm="retrain", using_cumulative=True)
+
+    def _four_clients(self, **overrides):
+        # two row counts, 30 and 60, two clients each
+        return make_simulation(
+            num_clients=4,
+            num_iterations=2,
+            seeds=[11, 22, 33, 44],
+            epsilons=[None] * 4,
+            dataset_sizes=[[30, 30], [30, 30], [60, 60], [60, 60]],
+            data={"kind": "synth", "classes": 3, "features": 5, "rows": 600,
+                  "separation": 2.5},
+            **overrides,
+        )
+
+    def _one_cache_hit(self, **overrides):
+        """A retrain run in which exactly one client reuses its cache in
+        round 2: the tolerance sits between the two smallest distances from
+        a client's round-1 weights to the federated model."""
+        probe = self._four_clients(tolerance=1e-9, **self.RETRAIN)
+        probe.run_round(1)
+        (near, hit), (far, _) = sorted(
+            (np.max(np.abs(probe.directory[c].federated_weights
+                           - probe.directory[c].clean_weights(1))), c)
+            for c in probe.client_names
+        )[:2]
+        assert near < far
+        return self._four_clients(tolerance=(near + far) / 2, **self.RETRAIN, **overrides), hit
+
+    @staticmethod
+    def _spy_cohorts(monkeypatch, sim):
+        """Record the clients of every cohort kernel call, by their data."""
+        owner = {id(ds): c for c in sim.client_names for ds in sim.directory[c].datasets}
+        calls = []
+        kernel = engine_module.sgd_train_cohort
+
+        def spy(jobs, cfg):
+            calls.append([owner[id(job.data)] for job in jobs])
+            return kernel(jobs, cfg)
+
+        monkeypatch.setattr(engine_module, "sgd_train_cohort", spy)
+        return calls
+
+    def test_one_kernel_call_per_row_count_each_round(self, monkeypatch):
+        sim = self._four_clients()
+        calls = self._spy_cohorts(monkeypatch, sim)
+        sim.run()
+        by_rows = [self.NAMES[:2], self.NAMES[2:]]
+        assert calls == by_rows + by_rows
+
+    def test_cache_hit_client_trains_in_no_cohort(self, monkeypatch):
+        sim, hit = self._one_cache_hit()
+        calls = self._spy_cohorts(monkeypatch, sim)
+        sim.run()
+        by_rows = [self.NAMES[:2], self.NAMES[2:]]
+        assert calls[:2] == by_rows
+        round_two = [[c for c in cohort if c != hit] for cohort in by_rows]
+        assert calls[2:] == [cohort for cohort in round_two if cohort]
+        client = sim.directory[hit]
+        assert np.array_equal(client.clean_weights(2), client.clean_weights(1))
+
+    def test_measured_compute_is_positive_for_every_client(self):
+        sim, _ = self._one_cache_hit(compute={"client_s": None, "server_s": None})
+        reports = sim.run()
+        assert [sorted(r.compute_s) for r in reports] == [self.NAMES, self.NAMES]
+        for report in reports:
+            assert all(seconds > 0 for seconds in report.compute_s.values())
+
+    def test_cohort_failure_names_iteration_and_every_member(self, monkeypatch):
+        sim = self._four_clients()
+
+        def diverged(jobs, cfg):
+            raise FloatingPointError("overflow in exp")
+
+        monkeypatch.setattr(engine_module, "sgd_train_cohort", diverged)
+        with pytest.raises(SimulationError, match="iteration 1") as caught:
+            sim.run_round(1)
+        message = str(caught.value)
+        assert "'client_agent0', 'client_agent1'" in message
+        assert "overflow in exp" in message
+        assert "client_agent2" not in message
+
+    def test_cohorts_equal_solo_training(self):
+        # a client driven on its own trains solo; the weights are the same
+        sim = self._four_clients()
+        sim.run_round(1)
+        for c in self.NAMES:
+            solo = self._four_clients().directory[c]
+            solo.produce_weights(Envelope("server_agent0", c, 1, {}, 0.0))
+            assert np.array_equal(solo.clean_weights(1), sim.directory[c].clean_weights(1))
 
 
 class TestWeightedAveraging:

@@ -10,6 +10,7 @@ from fedsim.models import (
     Dataset,
     EvalReport,
     TrainConfig,
+    TrainJob,
     client_round_incremental,
     client_round_retrain,
     converged,
@@ -17,6 +18,7 @@ from fedsim.models import (
     gradient,
     loss,
     sgd_train,
+    sgd_train_cohort,
     subtract_own_noise,
     zero_weights,
 )
@@ -153,6 +155,65 @@ class TestSgdTrain:
         out = sgd_train(data, init, cfg, np.random.default_rng(seed + 1))
         expected = reference_sgd(data, init, cfg, np.random.default_rng(seed + 1))
         assert np.array_equal(out, expected)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        jobs=st.integers(min_value=1, max_value=5),
+        rows=st.integers(min_value=1, max_value=30),
+        features=st.integers(min_value=1, max_value=6),
+        # below 8 classes numpy sums a row in sequence, from 8 on pairwise
+        classes=st.integers(min_value=2, max_value=12),
+        batch_size=st.integers(min_value=1, max_value=40),
+        local_steps=st.integers(min_value=1, max_value=25),
+        learning_rate=st.floats(min_value=1e-3, max_value=2.0),
+        l2_alpha=st.floats(min_value=1e-4, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_cohort_matches_per_batch_reference_bit_for_bit(
+        self, jobs, rows, features, classes, batch_size, local_steps,
+        learning_rate, l2_alpha, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        cfg = TrainConfig(local_steps, learning_rate, l2_alpha, batch_size)
+        cohort = [
+            TrainJob(
+                Dataset(rng.standard_normal((rows, features)) * 3.0,
+                        rng.integers(0, classes, rows)),
+                rng.standard_normal((classes, features + 1)),
+                np.random.default_rng(seed + 1 + j),
+            )
+            for j in range(jobs)
+        ]
+        out = sgd_train_cohort(cohort, cfg)
+        assert len(out) == jobs
+        for j, job in enumerate(cohort):
+            expected = reference_sgd(
+                job.data, job.init, cfg, np.random.default_rng(seed + 1 + j)
+            )
+            assert np.array_equal(out[j], expected)
+
+    def test_cohort_rejects_unequal_row_counts(self):
+        rng = np.random.default_rng(9)
+        cfg = TrainConfig(local_steps=3, learning_rate=0.1, l2_alpha=0.1, batch_size=4)
+        cohort = [
+            TrainJob(Dataset(rng.standard_normal((rows, 2)), rng.integers(0, 2, rows)),
+                     zero_weights(2, 2), np.random.default_rng(rows))
+            for rows in (10, 11)
+        ]
+        with pytest.raises(ValueError, match="row counts"):
+            sgd_train_cohort(cohort, cfg)
+
+    def test_cohort_leaves_inits_alone(self):
+        data = separable_dataset(np.random.default_rng(8))
+        cfg = TrainConfig(local_steps=5, learning_rate=0.5, l2_alpha=0.01, batch_size=8)
+        inits = [zero_weights(2, 2), np.ones((2, 3))]
+        out = sgd_train_cohort(
+            [TrainJob(data, w0, np.random.default_rng(i)) for i, w0 in enumerate(inits)],
+            cfg,
+        )
+        assert np.array_equal(inits[0], zero_weights(2, 2))
+        assert np.array_equal(inits[1], np.ones((2, 3)))
+        assert not np.shares_memory(out[0], out[1])
 
     def test_zero_gradient_fixed_point(self):
         # two points at the origin, one per class: softmax is uniform and
