@@ -169,10 +169,13 @@ def perturb_weights(
     """Add noise drawn at ``cal`` to a weight matrix, returning the noise added.
 
     ``w`` may be a float array or an exact matrix.  The perturbed matrix
-    is exact, so ``perturbed - noise`` recovers ``w`` bit for bit.
-    ``w`` itself is not modified.
+    is exact, so ``perturbed - noise`` recovers ``w`` bit for bit.  A
+    float ``w`` and its noise are lifted together, in one ``to_exact``
+    call over their stack, onto one shared power-of-two denominator, so
+    their sum needs no alignment.  ``w`` itself is not modified.
     """
-    w = to_exact(w)
+    if not isinstance(w, ExactMatrix):
+        w = np.asarray(w, dtype=np.float64)
     delta_f = cal.sensitivity
     if cal.mechanism == "laplace":
         noise = laplace_sample(delta_f / cal.epsilon, rng, size=w.shape)
@@ -181,5 +184,7 @@ def perturb_weights(
     else:
         noise = gaussian_sample(delta_f, cal.epsilon, cal.delta, rng, size=w.shape)
     noise = np.asarray(noise, dtype=np.float64)
-    perturbed = w + to_exact(noise)
-    return perturbed, noise
+    if isinstance(w, ExactMatrix):
+        return w + to_exact(noise), noise
+    both = to_exact(np.stack([w, noise]))
+    return ExactMatrix(both.num[0] + both.num[1], both.den), noise

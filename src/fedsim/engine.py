@@ -12,7 +12,9 @@ each alone; then each client, in name order, adds its noise and masks
 and sends.  Each client owns its state and random streams, and
 aggregation happens over exact matrices (integer numerators over a
 shared denominator, see ``exact``) in name order, so the order of host
-execution never shows in the results.  Agents return message
+execution never shows in the results.  In the serverless topology every
+active client averages the same broadcast bodies, so the host forms each
+round's mean once and hands it to every client.  Agents return message
 bodies with the time they are ready.  ``Simulation._send`` builds every
 message between two agents, stamps it with its sender's ready time plus
 the link latency (the offline key exchange is untimed) and counts it by
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -212,7 +214,7 @@ class ClientAgent:
         self._receipts: dict[int, float] = {}
         self._current_iteration = 0
         self._peer_buffer: dict[int, dict[str, Envelope]] = {}
-        self._own_contribution: dict[int, tuple[np.ndarray, float]] = {}
+        self._own_ready: dict[int, float] = {}
 
     # -- offline phase ----------------------------------------------------
 
@@ -374,20 +376,31 @@ class ClientAgent:
     # -- serverless topology ----------------------------------------------
 
     def broadcast_weights(self, iteration: int) -> tuple[dict[str, Any], float]:
-        """Train once, keep our own contribution, and return the body for
-        every active peer with the time it is ready (the round starts at 0)."""
+        """Train once and return the body for every active peer with the
+        time it is ready (the round starts at 0)."""
         if not self.active:
             raise ProtocolError(f"inactive client {self.name!r} asked to broadcast")
         outgoing, duration = self._train_and_mask(iteration)
-        self._own_contribution[iteration] = (outgoing, duration)
+        self._own_ready[iteration] = duration
         return {"kind": "weights", "weights": outgoing}, duration
 
     def receive_peer_weights(self, env: Envelope) -> None:
         self._peer_buffer.setdefault(env.iteration, {})[env.sender] = env
 
-    def complete_peer_round(self, iteration: int) -> bool:
-        """Average all held contributions locally and run the receive path."""
-        own_weights, own_ready = self._own_contribution.pop(iteration)
+    def complete_peer_round(
+        self, iteration: int, fed: ExactMatrix, contributors: Sequence[str]
+    ) -> bool:
+        """Take the round's mean of every active client's contribution,
+        ours included, and run the receive path.
+
+        The simulation forms ``fed`` once over ``contributors``, since every
+        active client averages the same bodies.  The client checks that it
+        holds an envelope from every peer in its active view and that the
+        mean was formed over exactly that view, takes its receipt time from
+        the stamps, then subtracts its own noise, evaluates and tests
+        convergence.
+        """
+        own_ready = self._own_ready.pop(iteration)
         received = self._peer_buffer.pop(iteration, {})
         expected = [c for c in self.active_view if c != self.name]
         missing = set(expected) - set(received)
@@ -396,12 +409,11 @@ class ClientAgent:
                 f"{self.name} is missing iteration-{iteration} weights "
                 f"from {sorted(missing)}"
             )
-        contributions = {peer: received[peer].body["weights"] for peer in expected}
-        contributions[self.name] = own_weights
-        fed = federated_mean(
-            contributions, iteration, self.size_schedule,
-            self.config.weighted_averaging,
-        )
+        if sorted(contributors) != self.active_view:
+            raise ProtocolError(
+                f"{self.name} got an iteration-{iteration} mean over "
+                f"{sorted(contributors)}, not its active view {self.active_view}"
+            )
         receipt = max([own_ready] + [received[p].sim_time for p in expected])
         return self._accept(iteration, fed, receipt)
 
@@ -486,7 +498,8 @@ class Simulation:
             self.latencies = LatencyTable.zeros(all_names)
 
         n_classes = self._count_classes(client_datasets, test_set)
-        size_schedule = {
+        # one size schedule, shared by every agent and the serverless mean
+        self.size_schedule = size_schedule = {
             name: [len(ds) for ds in client_datasets[i]]
             for i, name in enumerate(names)
         }
@@ -663,15 +676,24 @@ class Simulation:
         return self._assemble_report(iteration, active, dropouts)
 
     def _serverless_round(self, iteration: int, active: list[str]) -> IterationReport:
+        sent = {}
         for c in active:
             body, ready = self._invoke(
                 c, iteration, self.directory[c].broadcast_weights, iteration
             )
+            sent[c] = body["weights"]
             for peer in active:
                 if peer != c:
                     self._send(c, peer, iteration, body, ready, "receive_peer_weights")
+        # every active client averages exactly these bodies: form the mean once
+        fed = federated_mean(
+            sent, iteration, self.size_schedule, self.config.weighted_averaging
+        )
         flags = {
-            c: self._invoke(c, iteration, self.directory[c].complete_peer_round, iteration)
+            c: self._invoke(
+                c, iteration, self.directory[c].complete_peer_round,
+                iteration, fed, active,
+            )
             for c in active
         }
         dropouts = (

@@ -348,11 +348,22 @@ def reuse_cached_round(
 ) -> ClientRound | None:
     """The cached retrain round, marked untrained, when the federated
     weights sit within ``tolerance`` of its noisy weights and its noise was
-    drawn at ``cal``; otherwise None and the client retrains."""
+    drawn at ``cal``; otherwise None and the client retrains.
+
+    The noisy weights are compared as ``clean + record``, one IEEE
+    addition: like ``to_float`` of the exact sum it is the correctly
+    rounded sum, and the two differ at most in the sign of a zero, which
+    the distance ignores.  A sum that overflows raises ``OverflowError``
+    as ``to_float`` does.
+    """
     if cached is None:
         return None
     server_w = np.asarray(server_w, dtype=np.float64)
-    cached_w = to_float(cached.weights)
+    with np.errstate(over="raise"):
+        try:
+            cached_w = cached.clean + cached.record
+        except FloatingPointError:
+            raise OverflowError("cached noisy weights overflow float64") from None
     if cached_w.shape != server_w.shape:
         raise ValueError(
             f"shape mismatch: cached {cached_w.shape} vs server {server_w.shape}"

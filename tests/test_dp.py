@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from conftest import make_config
@@ -17,7 +18,7 @@ from fedsim.dp import (
     laplace_sample,
     perturb_weights,
 )
-from fedsim.exact import to_exact, to_float
+from fedsim.exact import ExactMatrix, to_exact, to_float
 
 KS_ALPHA = 0.01
 NAMES = ["client_agent0", "client_agent1", "client_agent2"]
@@ -312,3 +313,38 @@ class TestPerturbWeights:
         p2, r2 = perturb_weights(self.w, cal, np.random.default_rng(9))
         assert np.array_equal(r1, r2)
         assert np.array_equal(to_float(p1), to_float(p2))
+
+    # mixed exponents, signed zeros and subnormals in one matrix
+    weights = arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.integers(1, 4)),
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+                             1.7e308, -1.7e308, 1e6, -3e-7]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    )
+    calibrations = st.sampled_from([
+        laplace_at(3, 30, 0.01, epsilon=0.5),
+        Calibration("distributed_laplace", 1.0, 0.0, 3, 10, 0.02),
+        Calibration("gaussian", 0.5, 1e-5, 2, 40, 0.01),
+    ])
+
+    @settings(max_examples=100, deadline=None)
+    @given(weights, calibrations, st.integers(0, 2**32 - 1))
+    def test_perturbed_is_the_exact_sum(self, w, cal, seed):
+        perturbed, noise = perturb_weights(w, cal, np.random.default_rng(seed))
+        assert isinstance(perturbed, ExactMatrix) and perturbed.shape == w.shape
+        assert np.all(perturbed == to_exact(w) + to_exact(noise))
+        # an exact w (server-placed noise on the exact mean) adds alike
+        again, same = perturb_weights(to_exact(w), cal, np.random.default_rng(seed))
+        assert np.array_equal(same, noise)
+        assert np.all(again == perturbed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(weights, st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    def test_non_finite_weights_raise(self, w, bad, data):
+        w = w.copy()
+        w.flat[data.draw(st.integers(0, w.size - 1))] = bad
+        with pytest.raises(ValueError):
+            perturb_weights(w, self.cal, np.random.default_rng(0))

@@ -491,6 +491,91 @@ class TestServerlessRound:
             assert "client_agent2" not in sim.directory[survivor].active_view
 
 
+SERVERLESS_DP = dict(
+    topology="serverless",
+    use_dp_privacy=True,
+    mechanism="distributed_laplace",
+    dp_placement="distributed",
+    epsilons=[1.0, 1.0, 1.0],
+)
+
+
+class TestServerlessMean:
+    """The host forms each serverless round's mean once, for every client."""
+
+    @pytest.mark.parametrize("subtract", [False, True])
+    def test_one_mean_per_round(self, monkeypatch, subtract):
+        sim = make_simulation(subtract_dp_noise=subtract, **SERVERLESS_DP)
+        calls = []
+
+        def spy(mats, weights=None):
+            calls.append(len(mats))
+            return exact_mean(mats, weights=weights)
+
+        monkeypatch.setattr(engine_module, "exact_mean", spy)
+        sent, records = {}, {}
+        for c in sim.client_names:
+            client = sim.directory[c]
+
+            def broadcast(iteration, client=client, original=client.broadcast_weights):
+                body, ready = original(iteration)
+                sent[client.name] = body["weights"]
+                records[client.name] = client._records[iteration].copy()
+                return body, ready
+
+            monkeypatch.setattr(client, "broadcast_weights", broadcast)
+        sim.offline_phase()
+        n = len(sim.client_names)
+        for iteration in (1, 2):
+            sim.run_round(iteration)
+            assert calls == [n] * iteration
+            mean = exact_mean([sent[c] for c in sorted(sent)])
+            for c in sim.client_names:
+                expected = mean - to_exact(records[c]) / n if subtract else mean
+                assert np.array_equal(
+                    sim.directory[c].federated_weights, to_float(expected)
+                )
+
+    def _broadcast(self, sim, iteration):
+        """Every client broadcasts on its own; returns the bodies' weights."""
+        sent = {}
+        for c in sim.client_names:
+            body, ready = sim.directory[c].broadcast_weights(iteration)
+            sent[c] = body["weights"]
+            for peer in sim.client_names:
+                if peer != c:
+                    sim._send(c, peer, iteration, body, ready, "receive_peer_weights")
+        return sent
+
+    def test_missing_peer_envelope_is_named(self):
+        sim = make_simulation(**SERVERLESS_DP)
+        sim.offline_phase()
+        sent = self._broadcast(sim, 1)
+        client = sim.directory["client_agent0"]
+        del client._peer_buffer[1]["client_agent2"]
+        with pytest.raises(ProtocolError, match=r"from \['client_agent2'\]"):
+            client.complete_peer_round(1, exact_mean(list(sent.values())), list(sent))
+
+    def test_mean_over_another_set_is_refused(self):
+        sim = make_simulation(**SERVERLESS_DP)
+        sim.offline_phase()
+        sent = self._broadcast(sim, 1)
+        two = ["client_agent0", "client_agent1"]
+        with pytest.raises(ProtocolError, match="client_agent0 got an iteration-1 mean"):
+            sim.directory["client_agent0"].complete_peer_round(
+                1, exact_mean([sent[c] for c in two]), two
+            )
+
+    def test_lagging_active_view_fails_the_round(self):
+        # a client whose view lacks an active peer averages a different set
+        # than the round's mean was formed over
+        sim = make_simulation(**SERVERLESS_DP)
+        sim.offline_phase()
+        sim.directory["client_agent1"].sync_active_view(["client_agent0", "client_agent1"])
+        with pytest.raises(ProtocolError, match="client_agent1 got an iteration-1 mean"):
+            sim.run_round(1)
+
+
 class TestRunSimulation:
     def test_zero_iterations_runs_offline_only(self):
         sim = make_simulation(

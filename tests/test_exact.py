@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedsim.exact import ExactMatrix, exact_mean, to_exact, to_float
-from fedsim.models import subtract_own_noise
+from fedsim.models import ClientRound, reuse_cached_round, subtract_own_noise
 
 EDGE_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -103,6 +103,78 @@ def test_noise_subtraction_matches_fraction(pair, n):
     expected = fractions_of(x) - fractions_of(noise) / n
     assert_rounds_like(to_exact(x) - to_exact(noise) / n, expected)
     assert_rounds_like(subtract_own_noise(x, noise, n), expected)
+
+
+# Subnormals beyond the edge values, for the two-float sums below.
+SUBNORMALS = [1e-310, -2.5e-320, 4.9e-322, -2.2250738585072e-308]
+pair_elements = st.one_of(elements, st.sampled_from(SUBNORMALS))
+
+
+def cached_round(clean: np.ndarray, record: np.ndarray) -> ClientRound:
+    """A retrain cache entry whose noisy weights are the exact clean + record."""
+    return ClientRound(to_exact(clean) + to_exact(record), record, True, clean, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+        lambda shape: st.tuples(
+            arrays(np.float64, shape, elements=pair_elements),
+            arrays(np.float64, shape, elements=pair_elements),
+        )
+    )
+)
+def test_ieee_sum_is_the_rounded_exact_sum(pair):
+    # IEEE-754 addition of two finite doubles rounds the exact sum to
+    # nearest, ties to even, as to_float does; the retrain cache relies on it
+    a, b = pair
+    exact = to_exact(a) + to_exact(b)
+    cached = cached_round(a, b)
+    if rounded(fractions_of(a) + fractions_of(b)) is OverflowError:
+        with pytest.raises(OverflowError):
+            to_float(exact)
+        with pytest.raises(OverflowError):
+            reuse_cached_round(np.zeros_like(a), cached, 1.0, None)
+        return
+    ieee = a + b
+    # equal as values; only the sign of an exact zero may differ
+    assert np.array_equal(to_float(exact), ieee)
+    nonzero = ieee != 0
+    assert np.array_equal(to_float(exact)[nonzero].view(np.uint64),
+                          ieee[nonzero].view(np.uint64))
+    assert reuse_cached_round(ieee, cached, 1e-300, None) is not None
+
+
+def test_ieee_sum_overflows_at_the_tie_to_even():
+    # max + 2**970 lies halfway between the largest double and 2**1024
+    top = np.array([1.7976931348623157e308])
+    with pytest.raises(OverflowError):
+        to_float(to_exact(top) + to_exact(np.array([2.0**970])))
+    with pytest.raises(OverflowError):
+        reuse_cached_round(top, cached_round(top, np.array([2.0**970])), 1.0, None)
+    below = np.array([2.0**970 - 2.0**918])
+    assert reuse_cached_round(top, cached_round(top, below), 1e-300, None) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    matrix_lists(min_size=2, max_size=2),
+    st.sampled_from([0.0, 0.5, 1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-40, 2.0]),
+    st.sampled_from([1e-3, 0.5, 1e-9]),
+)
+def test_retrain_cache_decides_like_the_exact_round_back(pair, step, tolerance):
+    clean, record = pair
+    cached = cached_round(clean, record)
+    try:
+        noisy = to_float(cached.weights)
+    except OverflowError:
+        return
+    server_w = noisy.copy()
+    with np.errstate(over="ignore"):
+        server_w.flat[0] = noisy.flat[0] + step * tolerance
+        old_hit = bool(np.max(np.abs(server_w - noisy)) <= tolerance)
+    new_hit = reuse_cached_round(server_w, cached, tolerance, None) is not None
+    assert new_hit == old_hit
 
 
 @settings(max_examples=50, deadline=None)
