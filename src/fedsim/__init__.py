@@ -49,7 +49,6 @@ from .models import (
     EvalReport,
     TrainConfig,
     TrainJob,
-    client_round_incremental,
     client_round_retrain,
     converged,
     evaluate,

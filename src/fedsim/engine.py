@@ -5,20 +5,21 @@ server agent) and drives them through an offline key exchange followed by
 numbered iterations.  All timing is simulated: every message carries a
 ``sim_time`` stamp computed from declared latencies and compute durations,
 never from the wall clock, and each iteration's clock restarts at zero.
-Clients compute concurrently in simulated time.  On the host, a round
-first trains its clients together: clients with the same row count train
-in lock step in one stacked kernel call, with weights equal to training
-each alone; then each client, in name order, adds its noise and masks
-and sends.  Each client owns its state and random streams, and
-aggregation happens over exact matrices (integer numerators over a
-shared denominator, see ``exact``) in name order, so the order of host
-execution never shows in the results.  In the serverless topology every
-active client averages the same broadcast bodies, so the host forms each
-round's mean once and hands it to every client.  Agents return message
-bodies with the time they are ready.  ``Simulation._send`` builds every
-message between two agents, stamps it with its sender's ready time plus
-the link latency (the offline key exchange is untimed) and counts it by
-edge.
+Clients compute concurrently in simulated time.  ``Simulation.run_round``
+drives one list of phases over the active clients in name order: open and
+train (clients with one row count train in lock step in one stacked
+kernel call, equal to training each alone), send (noise, masks),
+aggregate and accept.  The topologies differ only in who aggregates and
+on which edges the bodies travel; the host forms a serverless round's
+mean once, as every client averages the same bodies.  Agents keep only
+state that lives across rounds and raise ``ProtocolError`` on a phase out
+of order.  Each client owns its random streams, and aggregation happens
+over exact matrices (integer numerators over a shared denominator, see
+``exact``) in name order, so the order of host execution never shows in
+the results.  Agents return message bodies with the time they are ready.
+``Simulation._send`` builds every message between two agents, stamps it
+with its sender's ready time plus the link latency (the offline key
+exchange is untimed) and counts it by edge.
 
 Message bodies use a closed set of kinds:
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,13 +54,14 @@ from .models import (
     evaluate,
     finish_round,
     reuse_cached_round,
-    sgd_train,
     sgd_train_cohort,
     subtract_own_noise,
     zero_weights,
 )
 
 SERVER_NAME = "server_agent0"
+Sent = tuple[dict[str, Any], float]  # a body and the time its sender has it
+Accepted = tuple[EvalReport, float, bool]  # evaluation, receipt time, converged
 
 
 class ProtocolError(RuntimeError):
@@ -117,21 +119,15 @@ class MessageCounters:
     server_client: int = 0
 
 
-@dataclass
-class PendingRound:
-    """A client's round between its training job and what it sends.
-
-    ``job`` is None when ``reused`` holds the retrain cache's round.
-    ``weights`` are the trained weights once they are handed back, and
-    ``seconds`` the host time charged to the client so far.
-    """
+class OpenRound(NamedTuple):
+    """What a client carries from opening a round to sending it: the
+    round's calibration, the retrain cache's round when it is reused, and
+    the host time spent opening."""
 
     iteration: int
     cal: Calibration | None
-    job: TrainJob | None
     reused: ClientRound | None
     seconds: float
-    weights: np.ndarray | None = None
 
 
 @dataclass
@@ -156,6 +152,11 @@ def federated_mean(
     order = sorted(contributions)
     sizes = [size_schedule[c][iteration - 1] for c in order] if weighted else None
     return exact_mean([contributions[c] for c in order], weights=sizes)
+
+
+def _charged(configured: float | None, started: float, earlier: float = 0.0) -> float:
+    """The configured duration, or else ``earlier`` plus the host time since ``started``."""
+    return configured if configured is not None else earlier + time.perf_counter() - started
 
 
 class ClientAgent:
@@ -208,13 +209,9 @@ class ClientAgent:
         self._clean: dict[int, np.ndarray] = {}
         self._records: dict[int, np.ndarray] = {}
         self._cache: ClientRound | None = None
-        self._pending: PendingRound | None = None
+        self._open: OpenRound | None = None
         self._compute: dict[int, float] = {}
-        self._evals: dict[int, EvalReport] = {}
-        self._receipts: dict[int, float] = {}
-        self._current_iteration = 0
         self._peer_buffer: dict[int, dict[str, Envelope]] = {}
-        self._own_ready: dict[int, float] = {}
 
     # -- offline phase ----------------------------------------------------
 
@@ -262,12 +259,10 @@ class ClientAgent:
     def training_job(self, iteration: int) -> TrainJob | None:
         """Open this iteration's round: calibrate over the active view and
         return the training it needs, or None when the retrain cache is
-        reused.  The simulation trains the job and hands the weights back
-        through ``take_trained``."""
+        reused.  The simulation trains the job and passes the weights to
+        the send step."""
         if iteration - 1 >= len(self.datasets):
-            raise ProtocolError(
-                f"{self.name} has no data for iteration {iteration}"
-            )
+            raise ProtocolError(f"{self.name} has no data for iteration {iteration}")
         started = time.perf_counter()
         cfg = self.config
         cal = calibrate(cfg, self.size_schedule, self.active_view, iteration, self.name)
@@ -280,38 +275,24 @@ class ClientAgent:
                 self.federated_weights, self._cache, cfg.tolerance, cal
             )
             init = np.zeros_like(self.federated_weights)
-        job = TrainJob(data, init, self._train_rng) if reused is None else None
-        self._pending = PendingRound(
-            iteration, cal, job, reused, time.perf_counter() - started
-        )
-        return job
+        self._open = OpenRound(iteration, cal, reused, time.perf_counter() - started)
+        return TrainJob(data, init, self._train_rng) if reused is None else None
 
-    def take_trained(self, iteration: int, weights: np.ndarray, seconds: float) -> None:
-        """Accept the trained weights of this iteration's job, with the
-        host time its training is charged."""
-        pending = self._pending
-        if pending is None or pending.iteration != iteration or pending.job is None:
-            raise ProtocolError(f"{self.name} has no iteration-{iteration} job to train")
-        pending.weights = weights
-        pending.seconds += seconds
-
-    def _train_and_mask(self, iteration: int) -> tuple[np.ndarray, float]:
-        cfg = self.config
-        pending = self._pending
-        if pending is None or pending.iteration != iteration:
-            # driven on its own rather than by Simulation.run_round
-            job = self.training_job(iteration)
-            if job is not None:
-                started = time.perf_counter()
-                weights = sgd_train(job.data, job.init, cfg.train, job.rng)
-                self.take_trained(iteration, weights, time.perf_counter() - started)
-            pending = self._pending
-        self._pending = None
+    def _perturb_and_mask(
+        self, iteration: int, trained: np.ndarray | None, seconds: float
+    ) -> Sent:
+        """Send the open round: noise the ``trained`` weights (None on a cache
+        hit, ``seconds`` to train) and mask them; return the body and duration."""
+        if not self.active:
+            raise ProtocolError(f"inactive client {self.name!r} asked to send weights")
+        cfg, opened = self.config, self._open
+        if opened is None or opened.iteration != iteration:
+            raise ProtocolError(f"{self.name} has no open iteration-{iteration} round")
+        self._open = None
         started = time.perf_counter()
-        if pending.reused is not None:
-            result = pending.reused
-        else:
-            result = finish_round(pending.weights, pending.cal, self._noise_rng)
+        result = opened.reused
+        if result is None:
+            result = finish_round(trained, opened.cal, self._noise_rng)
         if cfg.algorithm == "retrain":
             self._cache = result
         self._clean[iteration] = result.clean
@@ -319,51 +300,44 @@ class ClientAgent:
         if cfg.use_security:
             if self.schedule is None:
                 raise ProtocolError(f"{self.name} has no mask schedule")
-            outgoing = apply_masks(
-                result.weights, self.schedule, self.active_view, iteration
-            )
+            outgoing = apply_masks(result.weights, self.schedule, self.active_view, iteration)
         else:
             outgoing = result.weights
-        duration = (
-            cfg.client_compute_s
-            if cfg.client_compute_s is not None
-            else pending.seconds + time.perf_counter() - started
-        )
+        duration = _charged(cfg.client_compute_s, started, opened.seconds + seconds)
         self._compute[iteration] = duration
-        self._current_iteration = iteration
-        return outgoing, duration
+        return {"kind": "weights", "weights": outgoing}, duration
 
-    def produce_weights(self, env: Envelope) -> tuple[dict[str, Any], float]:
-        """Train for this iteration; return the perturbed, masked weights
+    def produce_weights(
+        self, env: Envelope, trained: np.ndarray | None = None, seconds: float = 0.0
+    ) -> Sent:
+        """Answer the server's request: return the perturbed, masked weights
         and the time they are ready (the request's stamp plus compute)."""
-        if not self.active:
-            raise ProtocolError(f"inactive client {self.name!r} asked to produce weights")
-        outgoing, duration = self._train_and_mask(env.iteration)
-        return {"kind": "weights", "weights": outgoing}, env.sim_time + duration
+        body, duration = self._perturb_and_mask(env.iteration, trained, seconds)
+        return body, env.sim_time + duration
 
-    def receive_weights(self, env: Envelope) -> bool:
+    def receive_weights(self, env: Envelope, rounded: np.ndarray | None = None) -> Accepted:
         """Accept the federated model; evaluate and report convergence."""
-        return self._accept(env.iteration, env.body["weights"], env.sim_time)
+        return self._accept(env.iteration, env.body["weights"], env.sim_time, rounded)
 
-    def _accept(self, iteration: int, fed: Any, receipt: float) -> bool:
-        if iteration != self._current_iteration:
-            raise ProtocolError(
-                f"{self.name} got federated weights for iteration {iteration}, "
-                f"expected {self._current_iteration}"
-            )
-        record = self._records.pop(iteration)
+    def _accept(
+        self, iteration: int, fed: Any, receipt: float, rounded: np.ndarray | None
+    ) -> Accepted:
+        """Take the federated model ``fed``, less our noise share with
+        ``subtract_dp_noise``, else as ``rounded`` when given; return the
+        evaluation, the receipt time and whether we converged."""
+        record = self._records.pop(iteration, None)
+        if record is None:
+            raise ProtocolError(f"{self.name} never sent the iteration-{iteration} round")
         if self.config.subtract_dp_noise:
-            fed = subtract_own_noise(fed, record, len(self.active_view))
-        fed_f = to_float(fed)
-        self.federated_weights = fed_f
+            rounded = to_float(subtract_own_noise(fed, record, len(self.active_view)))
+        elif rounded is None:
+            rounded = to_float(fed)
+        self.federated_weights = rounded
         local = self._clean[iteration]
-        self._evals[iteration] = EvalReport(
-            iteration=iteration,
-            local_accuracy=evaluate(local, self.test_set),
-            federated_accuracy=evaluate(fed_f, self.test_set),
+        report = EvalReport(
+            iteration, evaluate(local, self.test_set), evaluate(rounded, self.test_set)
         )
-        self._receipts[iteration] = receipt
-        return converged(local, fed_f, self.config.tolerance)
+        return report, receipt, converged(local, rounded, self.config.tolerance)
 
     def remove_active_clients(self, env: Envelope) -> None:
         """End-of-iteration dropout announcement: shrink the active view."""
@@ -375,21 +349,20 @@ class ClientAgent:
 
     # -- serverless topology ----------------------------------------------
 
-    def broadcast_weights(self, iteration: int) -> tuple[dict[str, Any], float]:
-        """Train once and return the body for every active peer with the
-        time it is ready (the round starts at 0)."""
-        if not self.active:
-            raise ProtocolError(f"inactive client {self.name!r} asked to broadcast")
-        outgoing, duration = self._train_and_mask(iteration)
-        self._own_ready[iteration] = duration
-        return {"kind": "weights", "weights": outgoing}, duration
+    def broadcast_weights(
+        self, iteration: int, trained: np.ndarray | None = None, seconds: float = 0.0
+    ) -> Sent:
+        """Return the perturbed, masked body for every active peer with
+        the time it is ready (the round starts at 0)."""
+        return self._perturb_and_mask(iteration, trained, seconds)
 
     def receive_peer_weights(self, env: Envelope) -> None:
         self._peer_buffer.setdefault(env.iteration, {})[env.sender] = env
 
     def complete_peer_round(
-        self, iteration: int, fed: ExactMatrix, contributors: Sequence[str]
-    ) -> bool:
+        self, iteration: int, fed: ExactMatrix, contributors: Sequence[str],
+        rounded: np.ndarray | None = None,
+    ) -> Accepted:
         """Take the round's mean of every active client's contribution,
         ours included, and run the receive path.
 
@@ -397,10 +370,8 @@ class ClientAgent:
         active client averages the same bodies.  The client checks that it
         holds an envelope from every peer in its active view and that the
         mean was formed over exactly that view, takes its receipt time from
-        the stamps, then subtracts its own noise, evaluates and tests
-        convergence.
+        the stamps, then accepts the mean as ``_accept`` does.
         """
-        own_ready = self._own_ready.pop(iteration)
         received = self._peer_buffer.pop(iteration, {})
         expected = [c for c in self.active_view if c != self.name]
         missing = set(expected) - set(received)
@@ -414,19 +385,14 @@ class ClientAgent:
                 f"{self.name} got an iteration-{iteration} mean over "
                 f"{sorted(contributors)}, not its active view {self.active_view}"
             )
+        own_ready = self._compute.get(iteration, 0.0)  # _accept refuses an unsent round
         receipt = max([own_ready] + [received[p].sim_time for p in expected])
-        return self._accept(iteration, fed, receipt)
+        return self._accept(iteration, fed, receipt, rounded)
 
     # -- report accessors -------------------------------------------------
 
-    def eval_report(self, iteration: int) -> EvalReport:
-        return self._evals[iteration]
-
     def compute_duration(self, iteration: int) -> float:
         return self._compute[iteration]
-
-    def receipt_time(self, iteration: int) -> float:
-        return self._receipts[iteration]
 
     def clean_weights(self, iteration: int) -> np.ndarray:
         return self._clean[iteration]
@@ -547,15 +513,17 @@ class Simulation:
         body: Mapping[str, Any],
         ready: float,
         handler: str | None = None,
+        *args: Any,
     ) -> Any:
         """Stamp one message, count it by edge and deliver it.
 
         The stamp is ``ready``, the simulated time at which the sender has
         the body, plus the latency from sender to recipient; the offline
         exchange (iteration 0) is untimed and stamped 0.  The envelope is
-        passed to the recipient's ``handler``, or, without one, returned
-        to the caller, which holds it for the recipient: the round that
-        drives the server collects the server's replies.
+        passed to the recipient's ``handler``, followed by ``args``, the
+        round's values the simulation carries to that step.  Without a
+        handler it is returned to the caller, which holds it for the
+        recipient: the round collects the server's replies.
         """
         if iteration == 0:
             sim_time = 0.0
@@ -573,7 +541,7 @@ class Simulation:
         if handler is None:
             return env
         method = getattr(self.directory[recipient], handler)
-        return self._invoke(recipient, iteration, method, env)
+        return self._invoke(recipient, iteration, method, env, *args)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -595,132 +563,116 @@ class Simulation:
             self._invoke(client.name, 0, client.initialize_common_keys)
 
     def run_round(self, iteration: int, active: list[str] | None = None) -> IterationReport:
-        """Drive one full iteration against the given (or current) active set."""
+        """Drive one full iteration against the given (or current) active set:
+        open and train, send, aggregate and accept, each phase over the
+        active clients in name order, then announce the departures."""
         if active is not None:
+            # refuse a list that repeats a client or names an unknown or retired one
+            known = [c for c in active if c in self.client_names]
+            for what, bad in (
+                ("repeats", [c for c in active if active.count(c) > 1]),
+                ("names unknown clients", [c for c in active if c not in known]),
+                ("names retired clients", [c for c in known if not self.directory[c].active]),
+            ):
+                if bad:
+                    raise SimulationError(
+                        f"iteration {iteration}: active list {what} {sorted(set(bad))}"
+                    )
             self.active = sorted(active)
             for name in self.active:
                 self.directory[name].sync_active_view(self.active)
         if not self.active:
-            raise SimulationError("no active clients remain")
-        self._train_cohorts(iteration, list(self.active))
-        if self.config.topology == "centralized":
-            report = self._server_round(iteration, list(self.active))
-        else:
-            report = self._serverless_round(iteration, list(self.active))
-        for name in report.dropouts:
-            self.directory[name].retire()
-        self.active = [c for c in self.active if c not in report.dropouts]
-        return report
+            raise SimulationError(f"iteration {iteration}: no active clients remain")
+        cfg, server, active = self.config, self.server, list(self.active)
+        trained = self._train_cohorts(iteration, active)
 
-    def _train_cohorts(self, iteration: int, active: list[str]) -> None:
-        """Train the round's clients before it is dispatched.
-
-        Each active client returns its training job, in name order.  Jobs
-        with one row count form a cohort that trains in one call of
-        ``sgd_train_cohort``, and each of its clients is charged an equal
-        share of that call's host time.  A cache-hit client has no job.
-        """
-        jobs = {}
+        sent, replies = {}, {}
         for c in active:
-            job = self._invoke(c, iteration, self.directory[c].training_job, iteration)
-            if job is not None:
-                jobs[c] = job
+            if server is None:
+                broadcast = self.directory[c].broadcast_weights
+                body, ready = self._invoke(c, iteration, broadcast, iteration, *trained[c])
+                for peer in active:
+                    if peer != c:
+                        self._send(c, peer, iteration, body, ready, "receive_peer_weights")
+            else:
+                request = {"kind": "weights_request"}
+                body, ready = self._send(
+                    SERVER_NAME, c, iteration, request, 0.0, "produce_weights", *trained[c]
+                )
+                # the reply is held for the server
+                replies[c] = self._send(c, SERVER_NAME, iteration, body, ready)
+            sent[c] = body["weights"]
+
+        if server is None:
+            # every active client averages exactly these bodies: form the mean once
+            fed = federated_mean(sent, iteration, self.size_schedule, cfg.weighted_averaging)
+        else:
+            started = time.perf_counter()
+            fed = server.aggregate(replies, iteration, active)
+            server_dur = _charged(cfg.server_compute_s, started)
+            ready = max(env.sim_time for env in replies.values()) + server_dur
+
+        # without noise subtraction every client takes the same model: round it once
+        rounded = None if cfg.subtract_dp_noise else to_float(fed)
+        body = {"kind": "federated_weights", "weights": fed}
+        evals, receipts, flags = {}, {}, {}
+        for c in active:
+            if server is None:
+                complete = self.directory[c].complete_peer_round
+                accepted = self._invoke(c, iteration, complete, iteration, fed, active, rounded)
+            else:
+                accepted = self._send(
+                    SERVER_NAME, c, iteration, body, ready, "receive_weights", rounded
+                )
+            evals[c], receipts[c], flags[c] = accepted
+
+        dropouts = sorted(c for c in active if flags[c]) if cfg.client_dropout else []
+        survivors = [c for c in active if c not in dropouts]
+        if server is None:
+            # without a server, each departing client announces itself once it
+            # holds the round's model
+            announcements = [(c, [c], receipts[c]) for c in dropouts]
+        else:
+            announcements = [(SERVER_NAME, dropouts, ready)] if dropouts else []
+        for sender, dropped, at in announcements:
+            announce = {"kind": "dropouts", "dropped": dropped}
+            for c in survivors:
+                self._send(sender, c, iteration, announce, at, "remove_active_clients")
+        for name in dropouts:
+            self.directory[name].retire()
+        self.active = survivors
+        compute = {c: self.directory[c].compute_duration(iteration) for c in active}
+        return IterationReport(iteration, evals, receipts, compute, dropouts)
+
+    def _train_cohorts(self, iteration: int, active: list[str]) -> dict[str, tuple]:
+        """Open and train the round of every active client; return each
+        client's trained weights (None on a cache hit) and seconds.
+
+        Each active client opens its round and returns its training job,
+        in name order.  Jobs with one row count form a cohort that trains
+        in one call of ``sgd_train_cohort``, and each of its clients is
+        charged an equal share of that call's host time.
+        """
+        jobs = {
+            c: self._invoke(c, iteration, self.directory[c].training_job, iteration)
+            for c in active
+        }
         cohorts: dict[int, list[str]] = {}
         for c, job in jobs.items():
-            cohorts.setdefault(len(job.data), []).append(c)
+            if job is not None:
+                cohorts.setdefault(len(job.data), []).append(c)
+        trained = dict.fromkeys(active, (None, 0.0))
         for names in cohorts.values():
             started = time.perf_counter()
             try:
-                trained = sgd_train_cohort([jobs[c] for c in names], self.config.train)
+                weights = sgd_train_cohort([jobs[c] for c in names], self.config.train)
             except Exception as exc:
                 raise SimulationError(
                     f"agents {names} failed during iteration {iteration}: {exc}"
                 ) from exc
             share = (time.perf_counter() - started) / len(names)
-            for c, weights in zip(names, trained):
-                self.directory[c].take_trained(iteration, weights, share)
-
-    def _server_round(self, iteration: int, active: list[str]) -> IterationReport:
-        server = self.server
-        assert server is not None
-        replies = {}
-        for c in active:
-            request = {"kind": "weights_request"}
-            reply = self._send(server.name, c, iteration, request, 0.0, "produce_weights")
-            replies[c] = self._send(c, server.name, iteration, *reply)  # held for the server
-
-        started = time.perf_counter()
-        fed = server.aggregate(replies, iteration, active)
-        server_dur = (
-            self.config.server_compute_s
-            if self.config.server_compute_s is not None
-            else time.perf_counter() - started
-        )
-        ready = max(env.sim_time for env in replies.values()) + server_dur
-        body = {"kind": "federated_weights", "weights": fed}
-        flags = {
-            c: self._send(server.name, c, iteration, body, ready, "receive_weights")
-            for c in active
-        }
-
-        dropouts = (
-            sorted(c for c in active if flags[c]) if self.config.client_dropout else []
-        )
-        if dropouts:
-            announce = {"kind": "dropouts", "dropped": dropouts}
-            for c in active:
-                if c not in dropouts:
-                    self._send(
-                        server.name, c, iteration, announce, ready, "remove_active_clients"
-                    )
-        return self._assemble_report(iteration, active, dropouts)
-
-    def _serverless_round(self, iteration: int, active: list[str]) -> IterationReport:
-        sent = {}
-        for c in active:
-            body, ready = self._invoke(
-                c, iteration, self.directory[c].broadcast_weights, iteration
-            )
-            sent[c] = body["weights"]
-            for peer in active:
-                if peer != c:
-                    self._send(c, peer, iteration, body, ready, "receive_peer_weights")
-        # every active client averages exactly these bodies: form the mean once
-        fed = federated_mean(
-            sent, iteration, self.size_schedule, self.config.weighted_averaging
-        )
-        flags = {
-            c: self._invoke(
-                c, iteration, self.directory[c].complete_peer_round,
-                iteration, fed, active,
-            )
-            for c in active
-        }
-        dropouts = (
-            sorted(c for c in active if flags[c]) if self.config.client_dropout else []
-        )
-        # without a server, each departing client announces itself once it
-        # holds the round's model
-        for dropped in dropouts:
-            announce = {"kind": "dropouts", "dropped": [dropped]}
-            ready = self.directory[dropped].receipt_time(iteration)
-            for c in active:
-                if c not in dropouts:
-                    self._send(dropped, c, iteration, announce, ready, "remove_active_clients")
-        return self._assemble_report(iteration, active, dropouts)
-
-    def _assemble_report(
-        self, iteration: int, active: list[str], dropouts: list[str]
-    ) -> IterationReport:
-        return IterationReport(
-            iteration=iteration,
-            evals={c: self.directory[c].eval_report(iteration) for c in active},
-            receipt_sim_time={
-                c: self.directory[c].receipt_time(iteration) for c in active
-            },
-            compute_s={c: self.directory[c].compute_duration(iteration) for c in active},
-            dropouts=dropouts,
-        )
+            trained.update((c, (w, share)) for c, w in zip(names, weights))
+        return trained
 
     def run(self) -> list[IterationReport]:
         """Offline phase, then every configured iteration (stopping early

@@ -295,25 +295,6 @@ def finish_round(
     return ClientRound(perturbed, noise, True, trained, cal)
 
 
-def client_round_incremental(
-    server_w: np.ndarray,
-    fresh_data: Dataset,
-    cfg: TrainConfig,
-    cal: Calibration | None,
-    rng: np.random.Generator,
-    noise_rng: np.random.Generator,
-) -> ClientRound:
-    """One client round of the fresh-data algorithm.
-
-    Trains from the current federated weights on this iteration's new data
-    only (batches from ``rng``), then adds noise drawn at ``cal`` from
-    ``noise_rng`` (none when ``cal`` is None, in which case the plain
-    trained weights are sent).
-    """
-    trained = sgd_train(fresh_data, server_w, cfg, rng)
-    return finish_round(trained, cal, noise_rng)
-
-
 def client_round_retrain(
     server_w: np.ndarray,
     cumulative_data: Dataset,

@@ -57,6 +57,14 @@ def make_simulation(**overrides) -> Simulation:
     return Simulation(config, client_datasets, test_set)
 
 
+def open_round(sim: Simulation, iteration: int) -> dict:
+    """Open and train ``iteration`` for every active client, as the first
+    phase of ``run_round`` does, so a test can drive the later phases by
+    hand.  Returns each client's send-step arguments: its trained weights
+    (None on a retrain cache hit) and their host seconds."""
+    return sim._train_cohorts(iteration, list(sim.active))
+
+
 def make_skewed_dropout_simulation(
     topology: str = "centralized", use_security: bool = False
 ) -> Simulation:

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 import fedsim.engine as engine_module
-from conftest import base_config_dict, make_simulation, make_skewed_dropout_simulation
+from conftest import (
+    base_config_dict,
+    make_simulation,
+    make_skewed_dropout_simulation,
+    open_round,
+)
 from fedsim.config import build_inputs, config_from_dict
 from fedsim.engine import (
     ClientAgent,
@@ -21,6 +26,7 @@ from fedsim.engine import (
 from fedsim.dp import gamma_difference_share, laplace_sample
 from fedsim.exact import exact_mean, to_exact, to_float
 from fedsim.masking import GROUP_PRIME, DhKeyPair
+from fedsim.models import sgd_train
 
 PAPER_LATENCIES = {
     "server_agent0": {"client_agent0": 0.3, "client_agent1": 2.0, "client_agent2": 0.1},
@@ -225,11 +231,13 @@ class TestClientAgent:
         sim = make_simulation(simulate_latencies=True, latencies=PAPER_LATENCIES)
         sim.offline_phase()
         client = sim.directory["client_agent1"]
+        trained = open_round(sim, 1)
         request = Envelope(
             "server_agent0", "client_agent1", 1, {"kind": "weights_request"}, 2.0
         )
         reply = sim._send(
-            "client_agent1", "server_agent0", 1, *client.produce_weights(request)
+            "client_agent1", "server_agent0", 1,
+            *client.produce_weights(request, *trained["client_agent1"]),
         )
         assert reply.sim_time == pytest.approx(2.0 + 0.005 + 2.0)
         assert reply.recipient == "server_agent0"
@@ -253,8 +261,10 @@ class TestClientAgent:
         )
         sim.offline_phase()
         client = sim.directory["client_agent0"]
+        trained = open_round(sim, 1)
         reply, _ = client.produce_weights(
-            Envelope("server_agent0", "client_agent0", 1, {"kind": "weights_request"}, 0.0)
+            Envelope("server_agent0", "client_agent0", 1, {"kind": "weights_request"}, 0.0),
+            *trained["client_agent0"],
         )
         body = to_float(reply["weights"])
         assert not np.array_equal(body, client.clean_weights(1))
@@ -263,8 +273,10 @@ class TestClientAgent:
         sim = make_simulation()
         sim.offline_phase()
         client = sim.directory["client_agent0"]
+        trained = open_round(sim, 1)
         client.produce_weights(
-            Envelope("server_agent0", "client_agent0", 1, {"kind": "weights_request"}, 0.0)
+            Envelope("server_agent0", "client_agent0", 1, {"kind": "weights_request"}, 0.0),
+            *trained["client_agent0"],
         )
         with pytest.raises(ProtocolError):
             client.receive_weights(
@@ -312,7 +324,10 @@ class TestNoiseSubtraction:
             c: Envelope("server_agent0", c, 1, {"kind": "weights_request"}, 0.0)
             for c in names
         }
-        replies = {c: sim.directory[c].produce_weights(requests[c]) for c in names}
+        trained = open_round(sim, 1)
+        replies = {
+            c: sim.directory[c].produce_weights(requests[c], *trained[c]) for c in names
+        }
         records = {c: sim.directory[c]._records[1].copy() for c in names}
         fed = exact_mean([replies[c][0]["weights"] for c in sorted(names)])
         for c in names:
@@ -389,8 +404,10 @@ class TestNoiseCalibration:
         client = sim.directory["client_agent2"]
         assert len(client.datasets[0]) == 50
         sim.offline_phase()
+        trained = open_round(sim, 1)
         reply, _ = client.produce_weights(
-            Envelope("server_agent0", "client_agent2", 1, {"kind": "weights_request"}, 0.0)
+            Envelope("server_agent0", "client_agent2", 1, {"kind": "weights_request"}, 0.0),
+            *trained["client_agent2"],
         )
         _, noise_seq, _ = np.random.SeedSequence(sim.config.seeds[2]).spawn(3)
         clean = client.clean_weights(1)
@@ -517,8 +534,10 @@ class TestServerlessMean:
         for c in sim.client_names:
             client = sim.directory[c]
 
-            def broadcast(iteration, client=client, original=client.broadcast_weights):
-                body, ready = original(iteration)
+            def broadcast(
+                iteration, *trained, client=client, original=client.broadcast_weights
+            ):
+                body, ready = original(iteration, *trained)
                 sent[client.name] = body["weights"]
                 records[client.name] = client._records[iteration].copy()
                 return body, ready
@@ -537,10 +556,12 @@ class TestServerlessMean:
                 )
 
     def _broadcast(self, sim, iteration):
-        """Every client broadcasts on its own; returns the bodies' weights."""
+        """Every client opens, trains and broadcasts by hand; returns the
+        bodies' weights."""
         sent = {}
+        trained = open_round(sim, iteration)
         for c in sim.client_names:
-            body, ready = sim.directory[c].broadcast_weights(iteration)
+            body, ready = sim.directory[c].broadcast_weights(iteration, *trained[c])
             sent[c] = body["weights"]
             for peer in sim.client_names:
                 if peer != c:
@@ -574,6 +595,127 @@ class TestServerlessMean:
         sim.directory["client_agent1"].sync_active_view(["client_agent0", "client_agent1"])
         with pytest.raises(ProtocolError, match="client_agent1 got an iteration-1 mean"):
             sim.run_round(1)
+
+
+class TestRoundedMean:
+    """Without noise subtraction every client takes the same model, so the
+    round rounds the mean to float once; with it, once per client."""
+
+    @pytest.mark.parametrize("topology", ["centralized", "serverless"])
+    @pytest.mark.parametrize("subtract", [False, True])
+    def test_mean_rounded_once_per_round(self, monkeypatch, topology, subtract):
+        sim = make_simulation(
+            topology=topology,
+            use_dp_privacy=True,
+            subtract_dp_noise=subtract,
+            mechanism="distributed_laplace",
+            dp_placement="distributed",
+            epsilons=[1.0, 1.0, 1.0],
+        )
+        calls = []
+
+        def spy(values):
+            calls.append(values)
+            return to_float(values)
+
+        monkeypatch.setattr(engine_module, "to_float", spy)
+        sim.offline_phase()
+        sim.run_round(1)
+        assert len(calls) == (3 if subtract else 1)
+        if not subtract:
+            expected = to_float(calls[0])
+            for c in sim.client_names:
+                assert np.array_equal(sim.directory[c].federated_weights, expected)
+
+
+class TestActiveListValidation:
+    """An explicit active list is checked before any phase runs."""
+
+    @staticmethod
+    def _spy_training(monkeypatch):
+        opened = []
+        job = ClientAgent.training_job
+
+        def spy(self, iteration):
+            opened.append(self.name)
+            return job(self, iteration)
+
+        monkeypatch.setattr(ClientAgent, "training_job", spy)
+        return opened
+
+    def test_repeated_client_is_named(self, monkeypatch):
+        sim = make_simulation()
+        opened = self._spy_training(monkeypatch)
+        with pytest.raises(
+            SimulationError, match=r"iteration 1: active list repeats \['client_agent0'\]",
+        ):
+            sim.run_round(1, ["client_agent0", "client_agent0", "client_agent1"])
+        assert opened == []
+
+    def test_unknown_client_is_named(self, monkeypatch):
+        sim = make_simulation()
+        opened = self._spy_training(monkeypatch)
+        with pytest.raises(
+            SimulationError,
+            match=r"iteration 1: active list names unknown clients \['nobody'\]",
+        ):
+            sim.run_round(1, ["client_agent0", "nobody"])
+        assert opened == []
+
+    def test_retired_client_is_named_before_training(self, monkeypatch):
+        sim = make_simulation(tolerance=1e9, client_dropout=True)
+        sim.run_round(1)
+        assert sim.active == []
+        opened = self._spy_training(monkeypatch)
+        with pytest.raises(
+            SimulationError,
+            match=r"iteration 2: active list names retired clients \['client_agent1'\]",
+        ):
+            sim.run_round(2, ["client_agent1"])
+        assert opened == []
+        assert sim.active == []
+        assert 2 not in sim.directory["client_agent1"]._compute
+
+    def test_empty_round_names_the_iteration(self):
+        sim = make_simulation(tolerance=1e9, client_dropout=True)
+        sim.run_round(1)
+        with pytest.raises(SimulationError, match="iteration 2: no active clients remain"):
+            sim.run_round(2)
+
+
+class TestPhaseOrder:
+    """A phase that reaches a client out of order is a ProtocolError naming
+    the client and the iteration."""
+
+    REQUEST = Envelope("server_agent0", "client_agent0", 1, {"kind": "weights_request"}, 0.0)
+    NOT_OPEN = "client_agent0 has no open iteration-1 round"
+
+    def test_send_without_an_open_round(self):
+        client = make_simulation().directory["client_agent0"]
+        with pytest.raises(ProtocolError, match=self.NOT_OPEN):
+            client.produce_weights(self.REQUEST, client.federated_weights, 0.0)
+        with pytest.raises(ProtocolError, match=self.NOT_OPEN):
+            client.broadcast_weights(1, client.federated_weights, 0.0)
+
+    def test_second_send_for_one_iteration(self):
+        sim = make_simulation()
+        client = sim.directory["client_agent0"]
+        trained = open_round(sim, 1)
+        client.produce_weights(self.REQUEST, *trained["client_agent0"])
+        with pytest.raises(ProtocolError, match=self.NOT_OPEN):
+            client.produce_weights(self.REQUEST, *trained["client_agent0"])
+
+    def test_accept_for_an_unsent_iteration(self):
+        sim = make_simulation()
+        client = sim.directory["client_agent0"]
+        sim.run_round(1)
+        body = {"kind": "federated_weights", "weights": client.federated_weights}
+        for iteration in (1, 2):  # accepted already, and never opened
+            unsent = f"client_agent0 never sent the iteration-{iteration} round"
+            with pytest.raises(ProtocolError, match=unsent):
+                client.receive_weights(
+                    Envelope("server_agent0", "client_agent0", iteration, body, 0.0)
+                )
 
 
 class TestRunSimulation:
@@ -673,9 +815,9 @@ class TestSerialExecution:
         seen = []
         produce = ClientAgent.produce_weights
 
-        def spy(self, env):
+        def spy(self, env, *trained):
             seen.append((self.name, threading.active_count()))
-            return produce(self, env)
+            return produce(self, env, *trained)
 
         monkeypatch.setattr(ClientAgent, "produce_weights", spy)
         before = threading.active_count()
@@ -782,12 +924,14 @@ class TestCohortTraining:
         assert "client_agent2" not in message
 
     def test_cohorts_equal_solo_training(self):
-        # a client driven on its own trains solo; the weights are the same
+        # sgd_train on a client's own job gives the weights its cohort gave
         sim = self._four_clients()
         sim.run_round(1)
         for c in self.NAMES:
             solo = self._four_clients().directory[c]
-            solo.produce_weights(Envelope("server_agent0", c, 1, {}, 0.0))
+            job = solo.training_job(1)
+            trained = sgd_train(job.data, job.init, solo.config.train, job.rng)
+            solo.produce_weights(Envelope("server_agent0", c, 1, {}, 0.0), trained)
             assert np.array_equal(solo.clean_weights(1), sim.directory[c].clean_weights(1))
 
 

@@ -11,10 +11,10 @@ from fedsim.models import (
     EvalReport,
     TrainConfig,
     TrainJob,
-    client_round_incremental,
     client_round_retrain,
     converged,
     evaluate,
+    finish_round,
     gradient,
     loss,
     sgd_train,
@@ -387,18 +387,18 @@ class TestClientRoundIncremental:
     def test_no_noise_path_equals_sgd_output(self):
         w0 = zero_weights(2, 2)
         trained = sgd_train(self.data, w0, self.cfg, np.random.default_rng(33))
-        result = client_round_incremental(
-            w0, self.data, self.cfg, None,
-            np.random.default_rng(33), np.random.default_rng(0),
+        result = finish_round(
+            sgd_train(self.data, w0, self.cfg, np.random.default_rng(33)),
+            None, np.random.default_rng(0),
         )
         assert np.array_equal(result.weights, trained)
         assert np.array_equal(result.clean, trained)
         assert np.all(result.record == 0)
 
     def test_record_matches_perturbation_exactly(self):
-        result = client_round_incremental(
-            zero_weights(2, 2), self.data, self.cfg, self.cal,
-            np.random.default_rng(34), np.random.default_rng(35),
+        result = finish_round(
+            sgd_train(self.data, zero_weights(2, 2), self.cfg, np.random.default_rng(34)),
+            self.cal, np.random.default_rng(35),
         )
         trained = sgd_train(self.data, zero_weights(2, 2), self.cfg, np.random.default_rng(34))
         assert np.array_equal(
