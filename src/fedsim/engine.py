@@ -2,7 +2,13 @@
 
 A simulation builds client agents (and, in the centralized topology, one
 server agent) and drives them through an offline key exchange followed by
-numbered iterations.  All timing is simulated: every message carries a
+numbered iterations.  In the exchange every client sends its public value
+to every peer, n(n - 1) messages; each pair's common key is derived once,
+by the end whose name sorts first, and handed to the other end, which
+checks the peer's public value and table itself (see ``masking``).
+Aggregation runs on the host, and a failure there, like a failure in an
+agent step, is a ``SimulationError`` naming the agents and the iteration.
+All timing is simulated: every message carries a
 ``sim_time`` stamp computed from declared latencies and compute durations,
 never from the wall clock, and each iteration's clock restarts at zero.
 Clients compute concurrently in simulated time.  ``Simulation.run_round``
@@ -44,7 +50,7 @@ import numpy as np
 
 from .dp import Calibration, calibrate, perturb_weights
 from .exact import ExactMatrix, exact_mean, to_float
-from .masking import MaskSchedule, apply_masks, dh_common_key, dh_generate
+from .masking import CommonKey, MaskSchedule, apply_masks, dh_check, dh_common_key, dh_generate
 from .models import (
     ClientRound,
     Dataset,
@@ -237,22 +243,46 @@ class ClientAgent:
             raise ProtocolError(f"duplicate public key from {env.sender!r}")
         self._peer_publics[env.sender] = (env.body["value"], env.body["powers"])
 
-    def initialize_common_keys(self) -> None:
-        """Derive one common key per peer in the active view from the
-        exchanged public values, then drop the key pair and the peers'
-        public values: nothing reads them after the agreement."""
+    def initialize_common_keys(self, handed: Mapping[str, CommonKey]) -> dict[str, CommonKey]:
+        """Agree one common key with every peer that sent a public value,
+        then drop the key pair and the peers' public values: nothing reads
+        them after the agreement.
+
+        Of each pair, the end whose name sorts first derives the key.  This
+        client derives the keys of the peers that sort after it, from its
+        secret and their tables, and returns them for the simulation to
+        hand over.  ``handed`` holds the keys that the peers sorting before
+        it derived; each must name exactly that pair.  The public value and
+        table of every peer are checked at this end either way.
+        """
         if self._keypair is None:
             raise ProtocolError(f"{self.name} has no key pair")
         missing = set(self.active_view) - {self.name} - set(self._peer_publics)
         if missing:
             raise ProtocolError(f"missing public keys from {sorted(missing)}")
-        keys = {
-            peer: dh_common_key(self._keypair, public, (self.name, peer), powers=powers)
-            for peer, (public, powers) in self._peer_publics.items()
-        }
+        earlier = sorted(peer for peer in self._peer_publics if peer < self.name)
+        if sorted(handed) != earlier:
+            raise ProtocolError(
+                f"{self.name} was handed common keys for {sorted(handed)}, not {earlier}"
+            )
+        keys, derived = {}, {}
+        for peer, (public, powers) in self._peer_publics.items():
+            if peer < self.name:
+                dh_check(self._keypair, public, powers)
+                keys[peer] = handed[peer]
+                if keys[peer].pair != (peer, self.name):
+                    raise ProtocolError(
+                        f"{self.name} was handed a common key for {keys[peer].pair}, "
+                        f"not {(peer, self.name)}"
+                    )
+            else:
+                keys[peer] = derived[peer] = dh_common_key(
+                    self._keypair, public, (self.name, peer), powers=powers
+                )
         self.schedule = MaskSchedule(owner=self.name, keys=keys)
         self._keypair = None
         self._peer_publics = {}
+        return derived
 
     # -- online phase ----------------------------------------------------
 
@@ -493,17 +523,19 @@ class Simulation:
     # -- message delivery ----------------------------------------------------
 
     @staticmethod
-    def _invoke(name: str, iteration: int, fn: Callable[..., Any], *args: Any) -> Any:
-        """Run one agent step; any failure but a ProtocolError is reported
-        as a SimulationError naming the agent and the iteration."""
+    def _invoke(
+        name: str | list[str], iteration: int, fn: Callable[..., Any], *args: Any
+    ) -> Any:
+        """Run one step of an agent, or of a list of agents the host runs
+        it for; any failure but a ProtocolError is reported as a
+        SimulationError naming the agents and the iteration."""
         try:
             return fn(*args)
         except ProtocolError:
             raise
         except Exception as exc:
-            raise SimulationError(
-                f"agent {name!r} failed during iteration {iteration}: {exc}"
-            ) from exc
+            who = f"agent {name!r}" if isinstance(name, str) else f"agents {name}"
+            raise SimulationError(f"{who} failed during iteration {iteration}: {exc}") from exc
 
     def _send(
         self,
@@ -548,7 +580,13 @@ class Simulation:
     def offline_phase(self) -> None:
         """Diffie-Hellman exchange: after it, every client holds a common
         key for every other client and no further client-client
-        communication is needed."""
+        communication is needed.
+
+        Every client sends its public value to every peer: n(n - 1)
+        messages.  The clients then agree in name order.  Each derives the
+        keys it shares with the peers that sort after it, and each of those
+        keys is handed to its peer, so every pair's key is derived once.
+        """
         if not self.config.use_security:
             return
         clients = [self.directory[name] for name in self.client_names]
@@ -559,8 +597,12 @@ class Simulation:
             for peer in self.client_names:
                 if peer != client.name:
                     self._send(client.name, peer, 0, body, 0.0, "receive_pubkey")
-        for client in clients:
-            self._invoke(client.name, 0, client.initialize_common_keys)
+        handed: dict[str, dict[str, CommonKey]] = {name: {} for name in self.client_names}
+        for name in sorted(self.client_names):
+            agree = self.directory[name].initialize_common_keys
+            derived = self._invoke(name, 0, agree, handed.pop(name))
+            for peer, key in derived.items():
+                handed[peer][name] = key
 
     def run_round(self, iteration: int, active: list[str] | None = None) -> IterationReport:
         """Drive one full iteration against the given (or current) active set:
@@ -603,17 +645,24 @@ class Simulation:
                 replies[c] = self._send(c, SERVER_NAME, iteration, body, ready)
             sent[c] = body["weights"]
 
+        # the host aggregates for the server, or serverless for every active client
+        aggregator = active if server is None else SERVER_NAME
         if server is None:
             # every active client averages exactly these bodies: form the mean once
-            fed = federated_mean(sent, iteration, self.size_schedule, cfg.weighted_averaging)
+            fed = self._invoke(
+                aggregator, iteration, federated_mean,
+                sent, iteration, self.size_schedule, cfg.weighted_averaging,
+            )
         else:
             started = time.perf_counter()
-            fed = server.aggregate(replies, iteration, active)
+            fed = self._invoke(aggregator, iteration, server.aggregate, replies, iteration, active)
             server_dur = _charged(cfg.server_compute_s, started)
             ready = max(env.sim_time for env in replies.values()) + server_dur
 
         # without noise subtraction every client takes the same model: round it once
-        rounded = None if cfg.subtract_dp_noise else to_float(fed)
+        rounded = None
+        if not cfg.subtract_dp_noise:
+            rounded = self._invoke(aggregator, iteration, to_float, fed)
         body = {"kind": "federated_weights", "weights": fed}
         evals, receipts, flags = {}, {}, {}
         for c in active:
@@ -664,12 +713,9 @@ class Simulation:
         trained = dict.fromkeys(active, (None, 0.0))
         for names in cohorts.values():
             started = time.perf_counter()
-            try:
-                weights = sgd_train_cohort([jobs[c] for c in names], self.config.train)
-            except Exception as exc:
-                raise SimulationError(
-                    f"agents {names} failed during iteration {iteration}: {exc}"
-                ) from exc
+            weights = self._invoke(
+                names, iteration, sgd_train_cohort, [jobs[c] for c in names], self.config.train
+            )
             share = (time.perf_counter() - started) / len(names)
             trained.update((c, (w, share)) for c, w in zip(names, weights))
         return trained

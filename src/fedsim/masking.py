@@ -15,22 +15,29 @@ about 80 modular multiplications instead of the ~300 of square-and-multiply.
 A table costs ``SECRET_BITS - 4`` squarings, about one plain exponentiation,
 so it pays only for a base raised more than once.  The generator's table is
 a group constant built at import.  Each client builds the table of its own
-public value in ``dh_generate`` and sends it with the value, so each of its
-n - 1 peers pays only the cheap half.
+public value in ``dh_generate`` and sends it with the value, so a peer
+that raises the value pays only the cheap half.
 
-The peer's table is trusted like the rest of its messages: the simulator
-models honest-but-curious clients.  ``dh_common_key`` checks that the table
-has the right length and starts with the peer's public value, but not the
-entries after that.  A wrong table gives its receiver a key its sender does
-not hold, so it breaks only that pair's mask cancellation, which the mask
-cancellation acceptance test and the benchmark's report digest check catch.
+Both ends of a pair would hash the same g^(ab), so only one derives it: of
+the pair's two names, the end whose name sorts first calls
+``dh_common_key`` with its own secret and the peer's table, and the host
+hands the resulting ``CommonKey`` to the other end.  That halves the
+offline phase's exponentiations, n(n - 1)/2 instead of n(n - 1); every
+client still sends its public value and table to every peer.  Each end
+runs ``dh_check`` on each public value and table it received (the deriving
+end through ``dh_common_key``): its own secret must not be a multiple of q
+and must lie in [2, 2**SECRET_BITS), the peer's public value must lie in
+(1, p - 1), and the peer's table must be TABLE_SIZE long and start with
+that value.  The deriving end also refuses a shared value of 1 or p - 1,
+the elements of the only small subgroup (order 2).  The shared value is
+hashed to a 256-bit key.
+
+The entries of a peer's table after the first are trusted like the rest
+of its messages: the simulator models honest-but-curious clients.  A wrong
+table sent to the deriving end gives both ends the same key, which is not
+g^(ab), so the masks still cancel and nothing in a run detects it.
 Against clients that are not honest a forged table could probe digits of
-the receiver's secret; such a deployment must build peer tables itself.
-
-``dh_common_key`` also checks its own secret, the peer's public value,
-which must lie in (1, p - 1), and the shared value, which must not be 1 or
-p - 1, the elements of the only small subgroup (order 2).  The shared value
-is hashed to a 256-bit key.
+the deriving end's secret; such a deployment must build peer tables itself.
 
 For every later iteration each pair derives an identical mask tensor from
 one SHAKE-256 stream of key || iteration, one mask per pair per iteration,
@@ -175,21 +182,12 @@ def dh_generate(rng: np.random.Generator) -> DhKeyPair:
     return DhKeyPair(secret=secret, public=public, powers=power_table(public))
 
 
-def dh_common_key(
-    own: DhKeyPair,
-    other_public: int,
-    pair: tuple[str, str] = ("", ""),
-    *,
-    powers: tuple[int, ...] = (),
-) -> CommonKey:
-    """Derive the shared 256-bit key from our secret and a peer's public
-    value, exponentiating over ``powers``, the peer's table of its value.
+def dh_check(own: DhKeyPair, other_public: int, powers: tuple[int, ...]) -> None:
+    """Check our side of an agreement with a peer without deriving the key.
 
-    Symmetric by construction: both endpoints hash the same g^(a*b) mod p.
     Raises ValueError for a secret that is a multiple of q or outside
-    [2, 2**SECRET_BITS), a public value outside (1, p-1), a table that is
-    not TABLE_SIZE long or does not start with the public value, and a
-    degenerate shared value (outside (1, p-1)).
+    [2, 2**SECRET_BITS), a public value outside (1, p-1), and a table that
+    is not TABLE_SIZE long or does not start with the public value.
     """
     # The group has order 2q, and only 1 and p-1 have order 1 or 2, so every
     # y in (1, p-1) has order q or 2q.  y^s is 1 or p-1 exactly when
@@ -204,6 +202,24 @@ def dh_common_key(
         raise ValueError(f"peer power table has {len(powers)} entries, not {TABLE_SIZE}")
     if powers[0] != other_public:
         raise ValueError("peer power table does not start with its public value")
+
+
+def dh_common_key(
+    own: DhKeyPair,
+    other_public: int,
+    pair: tuple[str, str] = ("", ""),
+    *,
+    powers: tuple[int, ...] = (),
+) -> CommonKey:
+    """Derive the shared 256-bit key from our secret and a peer's public
+    value, exponentiating over ``powers``, the peer's table of its value.
+
+    Symmetric by construction: both endpoints would hash the same
+    g^(a*b) mod p, so one derivation per pair serves both.  Raises
+    ValueError where ``dh_check`` does and for a degenerate shared value
+    (outside (1, p-1)).
+    """
+    dh_check(own, other_public, powers)
     shared = fixed_base_pow(powers, own.secret)
     if not 1 < shared < GROUP_PRIME - 1:
         raise ValueError("degenerate shared value: key agreement yields no secret")

@@ -1,5 +1,6 @@
 """Tests for the agent framework, lifecycle, clock and dropout bookkeeping."""
 
+import re
 import threading
 import time
 
@@ -25,7 +26,7 @@ from fedsim.engine import (
 )
 from fedsim.dp import gamma_difference_share, laplace_sample
 from fedsim.exact import exact_mean, to_exact, to_float
-from fedsim.masking import GROUP_PRIME, DhKeyPair
+from fedsim.masking import GROUP_PRIME, CommonKey, DhKeyPair, dh_common_key, dh_generate
 from fedsim.models import sgd_train
 
 PAPER_LATENCIES = {
@@ -99,6 +100,118 @@ class TestOfflinePhase:
         with pytest.raises(
             SimulationError, match="'client_agent2' failed during iteration 0"
         ):
+            sim.offline_phase()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_each_pair_derived_once(self, monkeypatch, n):
+        sim = make_simulation(
+            use_security=True,
+            num_clients=n,
+            epsilons=[None] * n,
+            seeds=list(range(1, n + 1)),
+            dataset_sizes=[[20, 20, 20]] * n,
+        )
+        pairs = []
+
+        def spy(own, other_public, pair=("", ""), **kwargs):
+            pairs.append(pair)
+            return dh_common_key(own, other_public, pair, **kwargs)
+
+        monkeypatch.setattr(engine_module, "dh_common_key", spy)
+        sim.offline_phase()
+        assert len(pairs) == n * (n - 1) // 2
+        assert sorted(pairs) == [
+            (a, b) for a in sim.client_names for b in sim.client_names if a < b
+        ]
+        assert sim.counters.offline_client_client == n * (n - 1)
+
+    def test_rejected_public_value_at_deriving_end(self):
+        # client_agent0 derives the pair's key from client_agent2's value
+        sim = make_simulation(use_security=True)
+        victim = sim.directory["client_agent0"]
+        receive = victim.receive_pubkey
+
+        def receive_forged(env):
+            if env.sender == "client_agent2":
+                body = {**env.body, "value": GROUP_PRIME - 1}
+                env = Envelope(env.sender, env.recipient, 0, body, env.sim_time)
+            receive(env)
+
+        victim.receive_pubkey = receive_forged
+        with pytest.raises(
+            SimulationError, match="'client_agent0' failed during iteration 0"
+        ):
+            sim.offline_phase()
+
+    @pytest.mark.parametrize(
+        "forge, message",
+        [
+            (lambda powers: powers[:-1], "table has 63 entries"),
+            (lambda powers: (powers[1],) + powers[1:], "does not start with"),
+        ],
+        ids=["length", "first_entry"],
+    )
+    def test_forged_table_names_non_deriving_end(self, forge, message):
+        # client_agent2 never raises client_agent0's table, but still checks it
+        sim = make_simulation(use_security=True)
+        victim = sim.directory["client_agent2"]
+        receive = victim.receive_pubkey
+
+        def receive_forged(env):
+            if env.sender == "client_agent0":
+                body = {**env.body, "powers": forge(env.body["powers"])}
+                env = Envelope(env.sender, env.recipient, 0, body, env.sim_time)
+            receive(env)
+
+        victim.receive_pubkey = receive_forged
+        with pytest.raises(
+            SimulationError, match=f"'client_agent2' failed during iteration 0: .*{message}"
+        ):
+            sim.offline_phase()
+
+    def test_key_material_equals_independent_derivation(self, monkeypatch):
+        sim = make_simulation(use_security=True)
+        keypairs = []
+
+        def spy(rng):
+            keypairs.append(dh_generate(rng))
+            return keypairs[-1]
+
+        monkeypatch.setattr(engine_module, "dh_generate", spy)
+        sim.offline_phase()
+        own = dict(zip(sim.client_names, keypairs))
+        for a in sim.client_names:
+            for b in sim.client_names:
+                if a < b:
+                    k_ab = dh_common_key(own[a], own[b].public, (a, b), powers=own[b].powers)
+                    k_ba = dh_common_key(own[b], own[a].public, (b, a), powers=own[a].powers)
+                    assert k_ab == k_ba
+                    assert sim.directory[a].schedule.key_for(b) == k_ab
+                    assert sim.directory[b].schedule.key_for(a) == k_ab
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda keys: {}, r"was handed common keys for \[\], not \['client_agent0'\]"),
+            (
+                lambda keys: {
+                    "client_agent1": CommonKey(
+                        ("client_agent0", "client_agent2"),
+                        keys["client_agent1"].key_material,
+                    ),
+                    "client_agent2": keys["client_agent2"],
+                },
+                r"was handed a common key for \('client_agent0', 'client_agent2'\)",
+            ),
+        ],
+        ids=["missing", "wrong_pair"],
+    )
+    def test_handed_key_must_name_the_pair(self, tamper, message):
+        sim = make_simulation(use_security=True)
+        deriver = sim.directory["client_agent0"]
+        agree = deriver.initialize_common_keys
+        deriver.initialize_common_keys = lambda handed: tamper(agree(handed))
+        with pytest.raises(ProtocolError, match=f"client_agent1 {message}"):
             sim.offline_phase()
 
     def test_public_key_sent_only_after_generation(self):
@@ -626,6 +739,42 @@ class TestRoundedMean:
             expected = to_float(calls[0])
             for c in sim.client_names:
                 assert np.array_equal(sim.directory[c].federated_weights, expected)
+
+
+class TestAggregateFailure:
+    """The host's aggregate-phase steps fail like agent steps: as a
+    SimulationError naming the iteration, and the server when centralized."""
+
+    @staticmethod
+    def _fail(*args):
+        raise ValueError("mean failed")
+
+    @pytest.mark.parametrize("topology", ["centralized", "serverless"])
+    def test_mean_failure_is_named(self, monkeypatch, topology):
+        sim = make_simulation(topology=topology, use_security=True)
+        sim.offline_phase()
+        if topology == "centralized":
+            monkeypatch.setattr(sim.server, "aggregate", self._fail)
+            where = "agent 'server_agent0'"
+        else:
+            monkeypatch.setattr(engine_module, "federated_mean", self._fail)
+            where = "agents " + re.escape(str(sim.client_names))
+        with pytest.raises(
+            SimulationError, match=f"{where} failed during iteration 1: mean failed"
+        ):
+            sim.run_round(1)
+
+    @pytest.mark.parametrize("topology", ["centralized", "serverless"])
+    def test_rounding_failure_is_named(self, monkeypatch, topology):
+        sim = make_simulation(topology=topology)
+        monkeypatch.setattr(engine_module, "to_float", self._fail)
+        where = "'server_agent0'"
+        if topology == "serverless":
+            where = "agents " + re.escape(str(sim.client_names))
+        with pytest.raises(
+            SimulationError, match=f"{where} failed during iteration 1: mean failed"
+        ):
+            sim.run_round(1)
 
 
 class TestActiveListValidation:
