@@ -125,19 +125,25 @@ class TestOfflinePhase:
         ]
         assert sim.counters.offline_client_client == n * (n - 1)
 
+    @staticmethod
+    def _forge(sim, victim, sender, forge):
+        """Make ``victim`` receive ``sender``'s public-key body as ``forge`` rewrites it."""
+        client = sim.directory[victim]
+        receive = client.receive_pubkey
+
+        def receive_forged(env):
+            if env.sender == sender:
+                env = Envelope(env.sender, env.recipient, 0, forge(env.body), env.sim_time)
+            receive(env)
+
+        client.receive_pubkey = receive_forged
+
     def test_rejected_public_value_at_deriving_end(self):
         # client_agent0 derives the pair's key from client_agent2's value
         sim = make_simulation(use_security=True)
-        victim = sim.directory["client_agent0"]
-        receive = victim.receive_pubkey
-
-        def receive_forged(env):
-            if env.sender == "client_agent2":
-                body = {**env.body, "value": GROUP_PRIME - 1}
-                env = Envelope(env.sender, env.recipient, 0, body, env.sim_time)
-            receive(env)
-
-        victim.receive_pubkey = receive_forged
+        self._forge(
+            sim, "client_agent0", "client_agent2", lambda body: {**body, "value": GROUP_PRIME - 1}
+        )
         with pytest.raises(
             SimulationError, match="'client_agent0' failed during iteration 0"
         ):
@@ -154,16 +160,10 @@ class TestOfflinePhase:
     def test_forged_table_names_non_deriving_end(self, forge, message):
         # client_agent2 never raises client_agent0's table, but still checks it
         sim = make_simulation(use_security=True)
-        victim = sim.directory["client_agent2"]
-        receive = victim.receive_pubkey
-
-        def receive_forged(env):
-            if env.sender == "client_agent0":
-                body = {**env.body, "powers": forge(env.body["powers"])}
-                env = Envelope(env.sender, env.recipient, 0, body, env.sim_time)
-            receive(env)
-
-        victim.receive_pubkey = receive_forged
+        self._forge(
+            sim, "client_agent2", "client_agent0",
+            lambda body: {**body, "powers": forge(body["powers"])},
+        )
         with pytest.raises(
             SimulationError, match=f"'client_agent2' failed during iteration 0: .*{message}"
         ):
