@@ -33,7 +33,7 @@ from .engine import (
     SimulationError,
     run_simulation,
 )
-from .exact import ExactMatrix, exact_mean, to_exact, to_float
+from .exact import exact_mean, to_exact, to_float
 from .masking import (
     CommonKey,
     DhKeyPair,

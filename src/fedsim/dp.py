@@ -20,7 +20,7 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from .exact import ExactMatrix, to_exact
+from .exact import GRID_BITS, GridMatrix, check_bound, snap, to_exact
 
 Mechanism = Literal["laplace", "gaussian", "distributed_laplace"]
 
@@ -162,20 +162,20 @@ def gamma_difference_share(
 
 
 def perturb_weights(
-    w: np.ndarray | ExactMatrix,
+    w: np.ndarray | GridMatrix,
     cal: Calibration,
     rng: np.random.Generator,
-) -> tuple[ExactMatrix, np.ndarray]:
-    """Add noise drawn at ``cal`` to a weight matrix, returning the noise added.
+) -> tuple[GridMatrix, np.ndarray]:
+    """Add noise drawn at ``cal`` to ``w`` on the grid; return the
+    perturbed grid matrix and the noise added.
 
-    ``w`` may be a float array or an exact matrix.  The perturbed matrix
-    is exact, so ``perturbed - noise`` recovers ``w`` bit for bit.  A
-    float ``w`` and its noise are lifted together, in one ``to_exact``
-    call over their stack, onto one shared power-of-two denominator, so
-    their sum needs no alignment.  ``w`` itself is not modified.
+    ``w`` is a grid matrix (a body, or the server's mean over count c) or a
+    float array, lifted by ``to_exact``.  The float draw is snapped to grid
+    integers Z; ``w`` gains c * Z and the noise returned is Z's exact value,
+    so ``perturbed - to_exact(noise)`` recovers ``w`` bit for bit.  Raises
+    ValueError if a c * Z reaches ``grid_bound(cal.n)``.
     """
-    if not isinstance(w, ExactMatrix):
-        w = np.asarray(w, dtype=np.float64)
+    w = to_exact(w)
     delta_f = cal.sensitivity
     if cal.mechanism == "laplace":
         noise = laplace_sample(delta_f / cal.epsilon, rng, size=w.shape)
@@ -183,8 +183,6 @@ def perturb_weights(
         noise = gamma_difference_share(cal.n, delta_f / cal.epsilon, rng, size=w.shape)
     else:
         noise = gaussian_sample(delta_f, cal.epsilon, cal.delta, rng, size=w.shape)
-    noise = np.asarray(noise, dtype=np.float64)
-    if isinstance(w, ExactMatrix):
-        return w + to_exact(noise), noise
-    both = to_exact(np.stack([w, noise]))
-    return ExactMatrix(both.num[0] + both.num[1], both.den), noise
+    z = snap(noise)
+    check_bound(z, cal.n, w.count)
+    return GridMatrix(w.total + w.count * z, w.count), z * 2.0**-GRID_BITS

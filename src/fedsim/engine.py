@@ -19,10 +19,11 @@ aggregate and accept.  The topologies differ only in who aggregates and
 on which edges the bodies travel; the host forms a serverless round's
 mean once, as every client averages the same bodies.  Agents keep only
 state that lives across rounds and raise ``ProtocolError`` on a phase out
-of order.  Each client owns its random streams, and aggregation happens
-over exact matrices (integer numerators over a shared denominator, see
-``exact``) in name order, so the order of host execution never shows in
-the results.  Agents return message bodies with the time they are ready.
+of order.  Each client owns its random streams and sends int64 integers
+on the grid 2^-32, refusing any outside ``grid_bound`` (see ``exact``);
+aggregation is integer arithmetic in name order, so the order of host
+execution never shows in the results.  Agents return message bodies with
+the time they are ready.
 ``Simulation._send`` builds every message between two agents, stamps it
 with its sender's ready time plus the link latency (the offline key
 exchange is untimed) and counts it by edge.
@@ -49,7 +50,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .dp import Calibration, calibrate, perturb_weights
-from .exact import ExactMatrix, exact_mean, to_float
+from .exact import GridMatrix, check_bound, exact_mean, to_float
 from .masking import CommonKey, MaskSchedule, apply_masks, dh_check, dh_common_key, dh_generate
 from .models import (
     ClientRound,
@@ -152,7 +153,7 @@ def federated_mean(
     iteration: int,
     size_schedule: Mapping[str, list[int]],
     weighted: bool,
-) -> ExactMatrix:
+) -> GridMatrix:
     """Exact mean of the contributions in name order, weighted by this
     iteration's dataset sizes when ``weighted``."""
     order = sorted(contributions)
@@ -323,6 +324,7 @@ class ClientAgent:
         result = opened.reused
         if result is None:
             result = finish_round(trained, opened.cal, self._noise_rng)
+        check_bound(result.weights.total, len(self.active_view))
         if cfg.algorithm == "retrain":
             self._cache = result
         self._clean[iteration] = result.clean
@@ -390,7 +392,7 @@ class ClientAgent:
         self._peer_buffer.setdefault(env.iteration, {})[env.sender] = env
 
     def complete_peer_round(
-        self, iteration: int, fed: ExactMatrix, contributors: Sequence[str],
+        self, iteration: int, fed: GridMatrix, contributors: Sequence[str],
         rounded: np.ndarray | None = None,
     ) -> Accepted:
         """Take the round's mean of every active client's contribution,
@@ -449,7 +451,7 @@ class ServerAgent:
         replies: Mapping[str, Envelope],
         iteration: int,
         active: list[str],
-    ) -> ExactMatrix:
+    ) -> GridMatrix:
         """Average the received matrices (canonical order, optionally
         dataset-size weighted), then add server-placed noise, if any."""
         fed = federated_mean(

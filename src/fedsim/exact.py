@@ -1,183 +1,187 @@
-"""Lossless arithmetic for the masking and noise pipeline.
+"""Exact fixed-point arithmetic for the masking and noise pipeline.
 
-Pairwise security offsets and recorded DP noise must cancel out of
-aggregates without leaving floating-point residue: the simulator promises
-that summing masked models recovers the sum of the raw models bit for bit,
-and that subtracting a recorded noise matrix recovers the clean weights
-bit for bit.  Plain float64 addition cannot keep those promises (adding a
-large offset rounds away the low bits of the weights), so every value that
-enters the masking/noise pipeline is lifted to an :class:`ExactMatrix`,
-all additions and averages happen there, and the result is rounded back to
-float64 exactly once on the way out.
+Pairwise masks and recorded DP noise must cancel out of aggregates bit for
+bit, so every body a client sends lies on the grid 2^-GRID_BITS, as in
+Bonawitz et al., *Practical Secure Aggregation* (CCS 2017): it holds int64
+grid integers q for the values q * 2^-GRID_BITS, and every sum, mean and
+noise subtraction is integer arithmetic.  ``to_exact`` is the one lift from
+float64: an exact scaling by 2^GRID_BITS, rounded to nearest, ties to even.
+A value on the grid lifts exactly.
 
-An :class:`ExactMatrix` holds Python-int numerators over one shared
-positive integer denominator.  Every finite float64 is an integer mantissa
-times a power of two, so a lifted matrix is exact over a power-of-two
-denominator; sums align denominators by their lcm and averages multiply
-the denominator, so nothing is ever rounded.  Rounding back divides each
-numerator by the denominator with Python's correctly rounded int true
-division, which is also how ``fractions.Fraction`` converts to float, so
-the result is the correctly rounded float64 of the exact value.
+A :class:`GridMatrix` is elementwise ``total / count * 2^-GRID_BITS``; a
+body has count 1 and the mean of n bodies is their sum over n.  Sums wrap
+modulo 2^64, which cancels the masks (see ``masking``), and equal the true
+sum while it fits in int64.  ``grid_bound`` keeps it so: each of n bodies
+stays below 2^(62 - ceil(log2 n)), so their sum plus the server's n * Z
+stays below 2^63.  A weighted mean is formed over Python ints, and
+``to_float`` rounds a result back to float64 once.
 """
 
 from __future__ import annotations
 
-import math
 from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
-# Bits in a float64 significand: np.frexp mantissas times 2**53 are integers.
-_MANTISSA_BITS = 53
+#: Bits below the binary point of the grid: values are multiples of 2^-GRID_BITS.
+GRID_BITS = 32
+
+_SCALE = 2.0**GRID_BITS
+# Magnitudes below this are exact float64 integers.
+_FLOAT_EXACT = 2**53
 
 
-class ExactMatrix:
-    """An exact rational matrix: elementwise ``num / den``.
+def grid_bound(n: int) -> int:
+    """2^(62 - ceil(log2 n)): every grid integer a party forms in a round
+    of ``n`` clients must lie strictly inside plus or minus this bound."""
+    return 1 << (62 - (n - 1).bit_length())
 
-    ``num`` is an object array of Python ints and ``den`` a positive int
-    shared by every element.  Instances are immutable values; arithmetic
-    returns new matrices.  Supported: ``+``/``-`` with another exact matrix,
-    a float array or a number on the right (``0 + x`` also works, so
-    ``sum()`` does), ``*`` by an integer, ``/`` by a positive integer,
-    elementwise ``==`` (a bool array), indexing, and ``float()`` of a
-    single element.  ``+``, ``-`` and ``==`` broadcast only a 0-d operand;
-    operands of two different non-scalar shapes raise ``ValueError``.
-    There is deliberately no ``__array__``: ``np.asarray`` never turns an
-    exact value into floats behind the caller's back; use :func:`to_float`.
+
+def check_bound(q: np.ndarray, n: int, factor: int = 1) -> None:
+    """Raise ValueError unless every ``factor * q`` is inside ``grid_bound(n)``."""
+    worst = max(int(q.max()), -int(q.min())) * factor
+    limit = grid_bound(n)
+    if worst >= limit:
+        raise ValueError(
+            f"grid integer of magnitude {worst} is not below 2^{limit.bit_length() - 1}, "
+            f"the bound for {n} clients"
+        )
+
+
+class GridMatrix:
+    """An exact matrix on the grid: elementwise ``total / count * 2^-GRID_BITS``.
+
+    ``total`` is an int64 array (an object array of Python ints for a
+    weighted mean) and ``count`` a positive int.  Supported: ``+``, ``-``
+    and elementwise ``==`` with a grid matrix of the same shape and either
+    the same count or count 1, ``0 + x`` (so ``sum()`` works), and ``/`` by
+    a positive integer.  There is deliberately no ``__array__``; use
+    :func:`to_float`.
     """
 
-    __slots__ = ("num", "den")
-    # ndarray operators return NotImplemented, so ``arr + x`` and ``arr == x``
-    # reach our methods instead of looping over ``x`` as an object.
+    __slots__ = ("total", "count")
+    # ndarray operators return NotImplemented, so ``arr == x`` reaches ours
     __array_ufunc__ = None
 
-    def __init__(self, num: np.ndarray, den: int = 1):
-        if den <= 0:
-            raise ValueError(f"denominator must be positive, got {den}")
-        # numpy hands back a bare int from 0-d object arithmetic; rewrap it
-        self.num = np.asarray(num, dtype=object)
-        self.den = den
+    def __init__(self, total: np.ndarray, count: int = 1):
+        if count < 1:
+            raise ValueError(f"count must be positive, got {count}")
+        self.total = total
+        self.count = count
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.num.shape
+        return self.total.shape
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({self.num!r}, den={self.den})"
+        return f"GridMatrix({self.total!r}, count={self.count})"
 
-    def __getitem__(self, index) -> ExactMatrix:
-        return ExactMatrix(self.num[index], self.den)
+    def _apply(self, op, other: GridMatrix) -> tuple[np.ndarray, int]:
+        """``op`` over the two totals on one count, the count-1 operand
+        scaled up; inside ``grid_bound`` the scaling cannot wrap."""
+        if self.shape != other.shape:
+            raise ValueError(f"grid matrix shape mismatch: {self.shape} != {other.shape}")
+        count = max(self.count, other.count)
+        if min(self.count, other.count) not in (1, count):
+            raise ValueError(f"grid matrices over counts {self.count}, {other.count} do not align")
+        a = self.total if self.count == count else self.total * count
+        b = other.total if other.count == count else other.total * count
+        return op(a, b), count
 
-    def __float__(self) -> float:
-        if self.num.size != 1:
-            raise TypeError("only single-element exact matrices convert to float")
-        return self.num.item() / self.den
-
-    def _aligned(self, other) -> tuple[np.ndarray, np.ndarray, int]:
-        if not isinstance(other, ExactMatrix):
-            other = _lift(other)
-        if self.num.ndim and other.num.ndim and self.shape != other.shape:
-            raise ValueError(
-                f"exact matrix shape mismatch: {self.shape} != {other.shape}"
-            )
-        if self.den == other.den:
-            return self.num, other.num, self.den
-        den = math.lcm(self.den, other.den)
-        return (
-            _scaled(self.num, den // self.den),
-            _scaled(other.num, den // other.den),
-            den,
-        )
-
-    def __add__(self, other) -> ExactMatrix:
-        a, b, den = self._aligned(other)
-        return ExactMatrix(a + b, den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> ExactMatrix:
-        a, b, den = self._aligned(other)
-        return ExactMatrix(a - b, den)
-
-    def __mul__(self, k) -> ExactMatrix:
-        if not isinstance(k, Integral):
+    def __add__(self, other) -> GridMatrix:
+        if not isinstance(other, GridMatrix):
             return NotImplemented
-        return ExactMatrix(_scaled(self.num, int(k)), self.den)
+        return GridMatrix(*self._apply(np.add, other))
 
-    def __truediv__(self, n) -> ExactMatrix:
+    def __radd__(self, other) -> GridMatrix:
+        return self if isinstance(other, Integral) and other == 0 else NotImplemented
+
+    def __sub__(self, other) -> GridMatrix:
+        if not isinstance(other, GridMatrix):
+            return NotImplemented
+        return GridMatrix(*self._apply(np.subtract, other))
+
+    def __eq__(self, other) -> np.ndarray:
+        if not isinstance(other, GridMatrix):
+            return NotImplemented
+        return np.asarray(self._apply(np.equal, other)[0], dtype=bool)
+
+    def __truediv__(self, n) -> GridMatrix:
         if not isinstance(n, Integral):
             return NotImplemented
         if n <= 0:
-            raise ValueError(f"exact matrices divide only by positive integers, got {n}")
-        return ExactMatrix(self.num, self.den * int(n))
-
-    def __eq__(self, other) -> np.ndarray:
-        a, b, _ = self._aligned(other)
-        return np.asarray(a == b, dtype=bool)
+            raise ValueError(f"grid matrices divide only by positive integers, got {n}")
+        return GridMatrix(self.total, self.count * int(n))
 
 
-def _scaled(num: np.ndarray, factor: int) -> np.ndarray:
-    return num if factor == 1 else num * factor
+def snap(values) -> np.ndarray:
+    """The int64 grid integers nearest ``values``: ``values * 2^GRID_BITS``
+    rounded to the nearest integer, ties to even.
 
-
-def to_exact(values) -> ExactMatrix:
-    """Lift a float64 array (or number) to an :class:`ExactMatrix`.
-
-    Exact matrices pass through unchanged, so the function is idempotent.
-    Raises ``ValueError`` on NaN or infinity, which have no exact value.
+    Raises ValueError on NaN or infinity, which have no grid value, and on
+    a value whose grid integer does not fit in int64.
     """
-    return values if isinstance(values, ExactMatrix) else _lift(values)
-
-
-def _lift(values) -> ExactMatrix:
     arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cannot lift a non-finite value to an exact matrix")
-    mantissa, exponent = np.frexp(arr)
-    ints = np.ldexp(mantissa, _MANTISSA_BITS).astype(np.int64)
-    exponent = exponent.astype(np.int64) - _MANTISSA_BITS
-    nonzero = ints != 0
-    # The shared denominator is 2**-base; only nonzero elements bound it.
-    base = min(int(exponent[nonzero].min()), 0) if nonzero.any() else 0
-    shifts = np.where(nonzero, exponent - base, 0)
-    return ExactMatrix(ints.astype(object) << shifts.astype(object), 1 << -base)
+    # NaN fails the comparison too; below 2^31 the scaled value is below 2^63
+    if not np.all(np.abs(arr) < 2.0 ** (63 - GRID_BITS)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("cannot lift a non-finite value to the grid")
+        raise ValueError(f"value outside the int64 grid, |v| >= 2^{63 - GRID_BITS}")
+    return np.rint(arr * _SCALE).astype(np.int64)
+
+
+def to_exact(values) -> GridMatrix:
+    """Lift a float64 array (or number) to a grid matrix of count 1, as
+    ``snap`` rounds it.  Grid matrices pass through unchanged."""
+    return values if isinstance(values, GridMatrix) else GridMatrix(snap(values))
 
 
 def to_float(values) -> np.ndarray:
-    """Round an exact matrix back to float64 (correctly rounded per element).
+    """Round a grid matrix back to float64, each element the float64
+    nearest its exact value, as ``fractions.Fraction`` rounds it.
 
-    Plain arrays are copied to float64 unchanged in value.
+    While |total| < 2^53 the total is an exact float64, so
+    ``float64(total) / count * 2^-GRID_BITS`` is one correctly rounded
+    division and an exact scaling; larger totals use Python's correctly
+    rounded int true division.  Plain arrays are copied to float64.
     """
-    if not isinstance(values, ExactMatrix):
+    if not isinstance(values, GridMatrix):
         return np.array(values, dtype=np.float64)
-    return np.array(values.num / values.den, dtype=np.float64)
+    total, count = values.total, values.count
+    if total.dtype == np.int64 and -_FLOAT_EXACT < total.min() and total.max() < _FLOAT_EXACT:
+        return total.astype(np.float64) / count / _SCALE
+    return np.array(total.astype(object) / (count << GRID_BITS), dtype=np.float64)
 
 
 def exact_mean(
-    mats: Sequence[np.ndarray | ExactMatrix], weights: Sequence[int] | None = None
-) -> ExactMatrix:
-    """Elementwise (optionally weighted) exact mean of float or exact matrices.
+    mats: Sequence[np.ndarray | GridMatrix], weights: Sequence[int] | None = None
+) -> GridMatrix:
+    """Elementwise (optionally weighted) exact mean of float or grid matrices.
 
-    Order-independent by construction, which is what lets centralized and
-    serverless aggregation produce identical results.  ``weights`` must be
-    positive integers, one per matrix.
+    Float matrices are lifted with ``to_exact``, and all matrices must share
+    one count.  Order-independent by construction, which is what lets
+    centralized and serverless aggregation produce identical results.
+    Unweighted, the totals are summed modulo 2^64, which cancels masks.
+    ``weights`` must be positive integers, one per matrix; a weighted sum
+    is formed over Python ints.
     """
     if len(mats) == 0:
         raise ValueError("cannot average an empty list of matrices")
     if weights is not None:
         if len(weights) != len(mats):
-            raise ValueError(
-                f"got {len(weights)} weights for {len(mats)} matrices"
-            )
+            raise ValueError(f"got {len(weights)} weights for {len(mats)} matrices")
         if any(w <= 0 for w in weights):
             raise ValueError("averaging weights must be positive")
     lifted = [to_exact(m) for m in mats]
-    shape = lifted[0].shape
+    shape, count = lifted[0].shape, lifted[0].count
     for m in lifted[1:]:
-        if m.shape != shape:
-            raise ValueError(f"matrix shape mismatch: {m.shape} != {shape}")
-    counts = [1] * len(lifted) if weights is None else [int(w) for w in weights]
-    den = math.lcm(*(m.den for m in lifted))
-    total = sum(_scaled(m.num, c * (den // m.den)) for m, c in zip(lifted, counts))
-    return ExactMatrix(total, den * sum(counts))
+        if (m.shape, m.count) != (shape, count):
+            raise ValueError(f"shape or count mismatch: {m.shape}/{m.count} != {shape}/{count}")
+    if weights is None:
+        words = np.stack([m.total for m in lifted]).view(np.uint64)
+        total = np.asarray(words.sum(axis=0, dtype=np.uint64)).view(np.int64)
+        return GridMatrix(total, count * len(lifted))
+    counts = [int(w) for w in weights]
+    total = sum(c * m.total.astype(object) for m, c in zip(lifted, counts))
+    return GridMatrix(total, count * sum(counts))

@@ -40,12 +40,14 @@ Against clients that are not honest a forged table could probe digits of
 the deriving end's secret; such a deployment must build peer tables itself.
 
 For every later iteration each pair derives an identical mask tensor from
-one SHAKE-256 stream of key || iteration, one mask per pair per iteration,
-so no further client-client communication is ever needed.  One endpoint
-adds the mask, the other subtracts it, and the pair's contribution
-vanishes from any aggregate.  A client lifts its signed masks to one exact
-matrix and adds their sum once; exact arithmetic is what makes the
-cancellation bit-exact rather than approximate.
+one SHAKE-256 stream of key || iteration, one uniform 64-bit word per
+element, so no further client-client communication is ever needed.  A
+client reads its body's int64 grid integers (see ``exact``) as words of
+Z_2^64 and, modulo 2^64, adds the mask toward each peer that sorts after it
+and subtracts the one toward each peer that sorts before it.  The masks
+cancel from any sum of the bodies bit for bit, and with one honest peer a
+masked body is uniform in Z_2^64 whatever it carries: hiding holds for any
+weights on the grid.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import ExactMatrix, to_exact
+from .exact import GridMatrix, to_exact
 
 # 2048-bit MODP group 14 from RFC 3526 (safe prime, generator 2), fixed for
 # every simulation so no parameter negotiation is needed.
@@ -76,9 +78,6 @@ GROUP_ORDER = (GROUP_PRIME - 1) // 2  # prime order of the quadratic-residue sub
 
 #: Bit length bound of a Diffie-Hellman secret: secrets lie in [2, 2**SECRET_BITS).
 SECRET_BITS = 256
-
-#: Half-width of the uniform mask range [-MASK_BOUND, MASK_BOUND].
-MASK_BOUND = 1e6
 
 _GROUP_BYTES = (GROUP_PRIME.bit_length() + 7) // 8
 
@@ -228,46 +227,49 @@ def dh_common_key(
 
 
 def mask_tensor(key: CommonKey, iteration: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Deterministic mask tensor for one pair and one iteration.
+    """Deterministic uint64 mask tensor for one pair and one iteration.
 
     One call ``shake_256(key || iteration)`` (iteration as 8 big-endian
-    bytes) gives element ``e``, in C order, the big-endian 64-bit word ``k``
-    at bytes ``8e .. 8e+7``, mapped to ``(2 * (k / 2**64) - 1) * MASK_BOUND``
-    in [-MASK_BOUND, MASK_BOUND].  Both endpoints of the pair compute
-    bit-identical tensors; distinct iterations give fresh, statistically
-    independent tensors.  A pair draws one tensor per iteration.
+    bytes) gives element ``e``, in C order, the big-endian 64-bit word at
+    bytes ``8e .. 8e+7``.  Both endpoints of the pair compute identical
+    tensors; distinct iterations give fresh, statistically independent
+    tensors.  A pair draws one tensor per iteration.
     """
     if iteration < 1:
         raise ValueError(f"iteration must be >= 1, got {iteration}")
     seed = key.key_material + int(iteration).to_bytes(8, "big")
     stream = hashlib.shake_256(seed).digest(8 * math.prod(shape))
-    words = np.frombuffer(stream, dtype=">u8")
-    return ((2.0 * (words / 2.0**64) - 1.0) * MASK_BOUND).reshape(shape)
+    return np.frombuffer(stream, dtype=">u8").astype(np.uint64).reshape(shape)
 
 
 def apply_masks(
-    w: np.ndarray | ExactMatrix,
+    w: np.ndarray | GridMatrix,
     schedule: MaskSchedule,
     active: list[str],
     iteration: int,
-) -> ExactMatrix:
+) -> GridMatrix:
     """Add the owner's signed pairwise masks for the current active set.
 
-    The sign convention is +1 toward peers that sort after the owner and
-    -1 toward peers that sort before it, so each mask appears exactly once
-    with each sign across the active set and cancels from the sum.  Only
-    current pairs contribute; departed clients leave no residue.  ``w``
-    may be a float array or an exact matrix; the result is exact.
+    ``w`` is a body, a grid matrix of count 1, or a float array lifted by
+    ``to_exact``.  Toward a peer that sorts after the owner the mask is
+    added, toward one that sorts before it subtracted, modulo 2^64, so
+    each mask appears once with each sign across the active set and
+    cancels from the sum; departed clients leave no residue.  Returns the
+    masked words read as int64, a body of count 1.
     """
     if schedule.owner not in active:
         raise ValueError(f"schedule owner {schedule.owner!r} not in the active set")
-    masked = to_exact(w)
+    body = to_exact(w)
+    if body.count != 1:
+        raise ValueError(f"only a body of count 1 is masked, not count {body.count}")
     peers = [peer for peer in active if peer != schedule.owner]
     if not peers:
-        return masked
-    stack = to_exact(np.stack([
-        (1.0 if schedule.owner < peer else -1.0)
-        * mask_tensor(schedule.key_for(peer), iteration, masked.shape)
-        for peer in peers
-    ]))
-    return masked + ExactMatrix(stack.num.sum(axis=0), stack.den)
+        return body
+    words = body.total.view(np.uint64).copy()
+    for peer in peers:
+        mask = mask_tensor(schedule.key_for(peer), iteration, words.shape)
+        if schedule.owner < peer:
+            words += mask
+        else:
+            words -= mask
+    return GridMatrix(words.view(np.int64))

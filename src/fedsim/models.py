@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dp import Calibration, perturb_weights
-from .exact import ExactMatrix, to_exact, to_float
+from .exact import GridMatrix, to_exact, to_float
 
 
 @dataclass
@@ -235,24 +235,20 @@ def converged(local: np.ndarray, federated: np.ndarray, tolerance: float) -> boo
 
 
 def subtract_own_noise(
-    federated: np.ndarray | ExactMatrix, noise: np.ndarray, active_count: int
-) -> ExactMatrix:
+    federated: np.ndarray | GridMatrix, noise: np.ndarray, active_count: int
+) -> GridMatrix:
     """Remove an agent's own noise share from an averaged model.
 
-    Returns ``federated - noise / active_count`` as an exact matrix, so a
-    single client recovers its clean weights bit for bit.
+    Returns ``federated - noise / active_count`` as a grid matrix, for a
+    mean of n bodies (sum - Z) / n in integers, so a single client
+    recovers its clean weights bit for bit.
     """
     if active_count < 1:
         raise ValueError(f"active_count must be >= 1, got {active_count}")
-    federated = to_exact(federated)
-    if federated.shape != noise.shape:
-        raise ValueError(
-            f"shape mismatch: federated {federated.shape} vs noise {noise.shape}"
-        )
-    return federated - to_exact(noise) / active_count
+    return to_exact(federated) - to_exact(noise) / active_count
 
 
-def evaluate(w: np.ndarray | ExactMatrix, test: Dataset) -> float:
+def evaluate(w: np.ndarray | GridMatrix, test: Dataset) -> float:
     """Fraction of test rows whose argmax class score matches the label.
 
     Ties break toward the lowest class index.
@@ -269,15 +265,15 @@ def evaluate(w: np.ndarray | ExactMatrix, test: Dataset) -> float:
 class ClientRound(NamedTuple):
     """What one client round produces.
 
-    ``weights`` is what the client sends: the trained weights plus its
-    noise, exact when noise was added.  ``record`` holds that noise,
-    ``clean`` the float weights before it, and ``calibration`` what the
-    noise was drawn at (None when none was added); the retrain cache is
-    reused only under the same calibration.  ``trained`` is False only
-    when the retrain cache was reused.
+    ``weights`` is the body sent, a grid matrix of count 1, and ``clean``
+    and ``record`` the exact values of its two parts: the trained weights
+    snapped to the grid, and the noise on the grid (zero when none was
+    added).  ``calibration`` is what the noise was drawn at (None when none
+    was added); the retrain cache is reused only under the same calibration.
+    ``trained`` is False only when the retrain cache was reused.
     """
 
-    weights: np.ndarray | ExactMatrix
+    weights: GridMatrix
     record: np.ndarray
     trained: bool
     clean: np.ndarray
@@ -287,12 +283,14 @@ class ClientRound(NamedTuple):
 def finish_round(
     trained: np.ndarray, cal: Calibration | None, noise_rng: np.random.Generator
 ) -> ClientRound:
-    """The round that sends ``trained``: plain without ``cal``, otherwise
-    with noise drawn at ``cal`` from ``noise_rng`` and recorded."""
+    """The round that sends ``trained`` snapped to the grid: plain without
+    ``cal``, else with noise drawn at ``cal`` from ``noise_rng`` and recorded."""
+    body = to_exact(trained)
+    clean = to_float(body)
     if cal is None:
-        return ClientRound(trained, np.zeros_like(trained), True, trained, None)
-    perturbed, noise = perturb_weights(trained, cal, noise_rng)
-    return ClientRound(perturbed, noise, True, trained, cal)
+        return ClientRound(body, np.zeros_like(clean), True, clean, None)
+    perturbed, noise = perturb_weights(body, cal, noise_rng)
+    return ClientRound(perturbed, noise, True, clean, cal)
 
 
 def client_round_retrain(
@@ -332,19 +330,13 @@ def reuse_cached_round(
     drawn at ``cal``; otherwise None and the client retrains.
 
     The noisy weights are compared as ``clean + record``, one IEEE
-    addition: like ``to_float`` of the exact sum it is the correctly
-    rounded sum, and the two differ at most in the sign of a zero, which
-    the distance ignores.  A sum that overflows raises ``OverflowError``
-    as ``to_float`` does.
+    addition: like ``to_float`` of the body it is the correctly rounded
+    sum, and on the grid it cannot overflow.
     """
     if cached is None:
         return None
     server_w = np.asarray(server_w, dtype=np.float64)
-    with np.errstate(over="raise"):
-        try:
-            cached_w = cached.clean + cached.record
-        except FloatingPointError:
-            raise OverflowError("cached noisy weights overflow float64") from None
+    cached_w = cached.clean + cached.record
     if cached_w.shape != server_w.shape:
         raise ValueError(
             f"shape mismatch: cached {cached_w.shape} vs server {server_w.shape}"

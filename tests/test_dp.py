@@ -1,6 +1,7 @@
 """Tests for the noise calibration, the samplers and perturbation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from fedsim.dp import (
     laplace_sample,
     perturb_weights,
 )
-from fedsim.exact import ExactMatrix, to_exact, to_float
+from fedsim.exact import GRID_BITS, GridMatrix, grid_bound, to_exact, to_float
 
 KS_ALPHA = 0.01
+UNIT = Fraction(1, 2**GRID_BITS)
 NAMES = ["client_agent0", "client_agent1", "client_agent2"]
 
 
@@ -273,8 +275,16 @@ class TestPerturbWeights:
 
     def test_record_matches_added_noise_exactly(self):
         perturbed, record = perturb_weights(self.w, self.cal, np.random.default_rng(1))
+        # the record is the continuous draw snapped to the grid, and the
+        # body is the sum of the two parts' grid integers
+        scale = self.cal.sensitivity / self.cal.epsilon
+        draw = laplace_sample(scale, np.random.default_rng(1), self.w.shape)
+        z = [round(Fraction(float(v)) / UNIT) for v in draw.ravel()]
+        assert [Fraction(float(v)) / UNIT for v in record.ravel()] == z
+        q = [round(Fraction(float(v)) / UNIT) for v in self.w.ravel()]
+        assert [int(t) for t in perturbed.total.ravel()] == [a + b for a, b in zip(q, z)]
         recovered = to_float(perturbed - to_exact(record))
-        assert np.array_equal(recovered, self.w)
+        assert np.array_equal(recovered, to_float(to_exact(self.w)))
 
     def test_input_unmodified(self):
         original = self.w.copy()
@@ -314,14 +324,15 @@ class TestPerturbWeights:
         assert np.array_equal(r1, r2)
         assert np.array_equal(to_float(p1), to_float(p2))
 
-    # mixed exponents, signed zeros and subnormals in one matrix
+    # mixed exponents, signed zeros and subnormals in one matrix, on and
+    # off the grid, inside the grid range of a round of three clients
     weights = arrays(
         np.float64,
         st.tuples(st.integers(1, 3), st.integers(1, 4)),
         elements=st.one_of(
             st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
-                             1.7e308, -1.7e308, 1e6, -3e-7]),
-            st.floats(allow_nan=False, allow_infinity=False),
+                             2.0**27, -(2.0**27) + 2.0**-25, 1e6, -3e-7, 2.0**-33]),
+            st.floats(-(2.0**27), 2.0**27),
         ),
     )
     calibrations = st.sampled_from([
@@ -330,16 +341,43 @@ class TestPerturbWeights:
         Calibration("gaussian", 0.5, 1e-5, 2, 40, 0.01),
     ])
 
+    @staticmethod
+    def _draw(cal, rng, shape):
+        """The continuous draw ``perturb_weights`` snaps, by mechanism."""
+        scale = cal.sensitivity / cal.epsilon
+        if cal.mechanism == "laplace":
+            return laplace_sample(scale, rng, shape)
+        if cal.mechanism == "distributed_laplace":
+            return gamma_difference_share(cal.n, scale, rng, shape)
+        return gaussian_sample(cal.sensitivity, cal.epsilon, cal.delta, rng, shape)
+
     @settings(max_examples=100, deadline=None)
     @given(weights, calibrations, st.integers(0, 2**32 - 1))
     def test_perturbed_is_the_exact_sum(self, w, cal, seed):
         perturbed, noise = perturb_weights(w, cal, np.random.default_rng(seed))
-        assert isinstance(perturbed, ExactMatrix) and perturbed.shape == w.shape
-        assert np.all(perturbed == to_exact(w) + to_exact(noise))
-        # an exact w (server-placed noise on the exact mean) adds alike
-        again, same = perturb_weights(to_exact(w), cal, np.random.default_rng(seed))
-        assert np.array_equal(same, noise)
-        assert np.all(again == perturbed)
+        assert isinstance(perturbed, GridMatrix) and perturbed.shape == w.shape
+        assert perturbed.count == 1 and perturbed.total.dtype == np.int64
+        draw = self._draw(cal, np.random.default_rng(seed), w.shape)
+        z = [round(Fraction(float(v)) / UNIT) for v in draw.ravel()]
+        q = [round(Fraction(float(v)) / UNIT) for v in w.ravel()]
+        assert [Fraction(float(v)) / UNIT for v in noise.ravel()] == z
+        assert [int(t) for t in perturbed.total.ravel()] == [a + b for a, b in zip(q, z)]
+        # a mean over c bodies (server-placed noise) gains c * Z
+        mean = GridMatrix(to_exact(w).total, 3)
+        again, same = perturb_weights(mean, cal, np.random.default_rng(seed))
+        assert np.array_equal(same, noise) and again.count == 3
+        assert [int(t) for t in again.total.ravel()] == [a + 3 * b for a, b in zip(q, z)]
+
+    def test_noise_past_the_grid_bound_is_refused(self):
+        # this draw's largest |Z| is 0.85 * 2^60: a body of a 3-client round
+        # may carry it, while the server's 3 * Z would reach 2.5 * 2^60
+        cal = Calibration("laplace", 1e-8, 0.0, 3, 1, 1.0)
+        assert grid_bound(3) == 2**60
+        body, noise = perturb_weights(np.zeros((2, 3)), cal, np.random.default_rng(0))
+        assert 2**59 < max(abs(int(t)) for t in body.total.ravel()) < 2**60
+        mean = GridMatrix(np.zeros((2, 3), dtype=np.int64), 3)
+        with pytest.raises(ValueError, match="not below 2\\^60, the bound for 3 clients"):
+            perturb_weights(mean, cal, np.random.default_rng(0))
 
     @settings(max_examples=30, deadline=None)
     @given(weights, st.sampled_from([np.nan, np.inf, -np.inf]), st.data())

@@ -563,6 +563,66 @@ class TestNoiseCalibration:
             assert np.array_equal(sim.directory[c].federated_weights, expected)
 
 
+class TestGridBound:
+    """A body outside ``grid_bound`` for the round's n, or a server n * Z
+    outside it, fails the round naming the agent and the iteration."""
+
+    @staticmethod
+    def _oversize(monkeypatch, sim, name, iteration, value):
+        """Hand ``name`` trained weights of ``value`` at ``iteration``."""
+        client = sim.directory[name]
+        method = "broadcast_weights" if sim.server is None else "produce_weights"
+        original = getattr(client, method)
+
+        def send(first, trained=None, seconds=0.0):
+            at = first if sim.server is None else first.iteration
+            if at == iteration:
+                trained = np.full_like(trained, value)
+            return original(first, trained, seconds)
+
+        monkeypatch.setattr(client, method, send)
+
+    @pytest.mark.parametrize("topology", ["centralized", "serverless"])
+    @pytest.mark.parametrize("security", [False, True])
+    def test_oversized_body_names_client_and_iteration(self, monkeypatch, topology, security):
+        # three clients: bodies must stay below 2^60, that is |w| < 2^28
+        sim = make_simulation(topology=topology, use_security=security)
+        self._oversize(monkeypatch, sim, "client_agent1", 2, 2.0**28)
+        sim.offline_phase()
+        sim.run_round(1)
+        with pytest.raises(
+            SimulationError,
+            match=r"agent 'client_agent1' failed during iteration 2: grid integer "
+            r"of magnitude 1152921504606846976 is not below 2\^60, the bound for 3 clients",
+        ):
+            sim.run_round(2)
+
+    @pytest.mark.parametrize("topology", ["centralized", "serverless"])
+    def test_body_just_inside_the_bound_is_sent(self, monkeypatch, topology):
+        sim = make_simulation(topology=topology, use_security=True)
+        self._oversize(monkeypatch, sim, "client_agent1", 1, 2.0**28 - 2.0**-24)
+        sim.offline_phase()
+        sim.run_round(1)
+        assert np.all(sim.directory["client_agent0"].federated_weights > 2.0**26)
+
+    def test_server_noise_past_the_bound_names_the_server(self):
+        # the server forms 3 * Z: Z of about 2^27 breaks 2^60 on the grid
+        sizes = [[20, 20, 20]] * 3
+        alpha = make_simulation().config.train.l2_alpha
+        epsilon = 2.0 / (3 * 20 * alpha) / 2.0**27
+        sim = make_simulation(
+            use_dp_privacy=True, dp_placement="global_server", mechanism="laplace",
+            epsilons=[epsilon] * 3, dataset_sizes=sizes,
+        )
+        sim.offline_phase()
+        with pytest.raises(
+            SimulationError,
+            match=r"agent 'server_agent0' failed during iteration 1: grid integer "
+            r"of magnitude \d+ is not below 2\^60, the bound for 3 clients",
+        ):
+            sim.run_round(1)
+
+
 class TestServerlessRound:
     def test_two_client_receipt_times(self):
         latencies = {

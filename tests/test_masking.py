@@ -2,19 +2,20 @@
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from fedsim.dp import Calibration, perturb_weights
-from fedsim.exact import to_exact, to_float
+from fedsim.exact import GRID_BITS, to_exact, to_float
 from fedsim.masking import (
     GROUP_GENERATOR,
     GROUP_ORDER,
     GROUP_PRIME,
-    MASK_BOUND,
     SECRET_BITS,
     TABLE_SIZE,
     CommonKey,
@@ -226,9 +227,11 @@ class TestMaskTensor:
         assert mask_tensor(self.key, 1, (2, 3)).shape == (2, 3)
         assert mask_tensor(self.key, 1, (2, 3)).size == 6
 
-    def test_values_within_bound(self):
-        m = mask_tensor(self.key, 5, (100,))
-        assert np.all(np.abs(m) <= MASK_BOUND)
+    def test_words_span_z_2_64(self):
+        m = mask_tensor(self.key, 5, (1000,))
+        assert m.dtype == np.uint64
+        # the top and the bottom of the range are both reached
+        assert int(m.max()) >= 2**64 - 2**60 and int(m.min()) < 2**60
 
     def test_iteration_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -240,27 +243,25 @@ class TestMaskTensor:
 
 
 def reference_mask(key, iteration, shape):
-    """The documented derivation, element by element with Python ints."""
+    """The documented derivation, element by element, as Python ints."""
     count = math.prod(shape)
     seed = key.key_material + iteration.to_bytes(8, "big")
     stream = hashlib.shake_256(seed).digest(8 * count)
-    values = [
-        (2.0 * (int.from_bytes(stream[8 * e : 8 * e + 8], "big") / 2.0**64) - 1.0)
-        * MASK_BOUND
-        for e in range(count)
-    ]
-    return np.array(values, dtype=np.float64).reshape(shape)
+    return [int.from_bytes(stream[8 * e : 8 * e + 8], "big") for e in range(count)]
 
 
 def reference_apply_masks(w, schedule, active, iteration):
-    """One lift and one exact add or subtract per peer mask."""
-    masked = to_exact(w)
+    """The body's grid integers, each peer's words added or subtracted
+    modulo 2^64 one at a time, read back as signed Python ints."""
+    body = to_exact(w)
+    words = [int(q) % 2**64 for q in body.total.ravel()]
     for peer in active:
         if peer == schedule.owner:
             continue
-        mask = to_exact(mask_tensor(schedule.key_for(peer), iteration, masked.shape))
-        masked = masked + mask if schedule.owner < peer else masked - mask
-    return masked
+        mask = reference_mask(schedule.key_for(peer), iteration, body.shape)
+        sign = 1 if schedule.owner < peer else -1
+        words = [(v + sign * m) % 2**64 for v, m in zip(words, mask)]
+    return [v - 2**64 if v >= 2**63 else v for v in words]
 
 
 class TestMaskDerivation:
@@ -272,9 +273,8 @@ class TestMaskDerivation:
             CommonKey(pair=("a", "c"), key_material=hashlib.sha256(b"c").digest()),
         ):
             got = mask_tensor(key, iteration, shape)
-            want = reference_mask(key, iteration, shape)
-            assert got.dtype == np.float64 and got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert got.dtype == np.uint64 and got.shape == shape
+            assert [int(v) for v in got.ravel()] == reference_mask(key, iteration, shape)
 
 
 class TestApplyMasks:
@@ -284,11 +284,13 @@ class TestApplyMasks:
         w0, w1 = np.array([[1.0]]), np.array([[2.0]])
         m0 = apply_masks(w0, schedules[names[0]], names, 1)
         m1 = apply_masks(w1, schedules[names[1]], names, 1)
-        mask = to_float(m0 - to_exact(w0))
-        assert np.array_equal(to_float(m1 - to_exact(w1)), -mask)
+        # the owner that sorts first adds the pair's word, the other subtracts it
+        (word,) = reference_mask(schedules[names[0]].key_for(names[1]), 1, (1, 1))
+        assert int(m0.total[0, 0]) % 2**64 == (2**GRID_BITS + word) % 2**64
+        assert int(m1.total[0, 0]) % 2**64 == (2 * 2**GRID_BITS - word) % 2**64
         total = m0 + m1
-        assert total[0, 0] == 3
-        assert float(total[0, 0]) == 3.0
+        assert total.count == 1 and int(total.total[0, 0]) == 3 * 2**GRID_BITS
+        assert np.array_equal(to_float(total), [[3.0]])
 
     def test_three_client_cancellation_bit_exact(self):
         names = ["client_agent0", "client_agent1", "client_agent2"]
@@ -368,9 +370,8 @@ class TestApplyMasks:
         w=arrays(
             np.float64,
             st.tuples(st.integers(1, 3), st.integers(1, 4)),
-            elements=st.floats(allow_nan=False, allow_infinity=False),
-        ),
-        exact_w=st.booleans(),
+            elements=st.floats(-(2.0**30), 2.0**30),
+        ),        exact_w=st.booleans(),
         iteration=st.integers(min_value=1, max_value=50),
         data=st.data(),
     )
@@ -394,9 +395,60 @@ class TestApplyMasks:
         schedule = _SCHEDULES_FOR_PROPERTY[owner]
         got = apply_masks(w, schedule, active, iteration)
         want = reference_apply_masks(w, schedule, active, iteration)
-        assert got.shape == want.shape == w.shape
-        assert np.all(got == want)
+        assert got.shape == w.shape and got.count == 1 and got.total.dtype == np.int64
+        assert [int(v) for v in got.total.ravel()] == want
 
 
 # key agreement is slow enough to share across hypothesis examples
 _SCHEDULES_FOR_PROPERTY = make_schedules([f"client_agent{i}" for i in range(5)], seed=42)
+
+
+class TestHiding:
+    """A masked body is uniform in Z_2^64 elementwise, whatever grid values
+    it carries."""
+
+    PEERS = ["client_agent0", "client_agent1"]
+
+    def _masked(self, w, iteration=1):
+        return apply_masks(w, _SCHEDULES_FOR_PROPERTY[self.PEERS[0]], self.PEERS, iteration)
+
+    def test_bits_below_the_mask_grain_do_not_survive(self):
+        # Float masks in [-1e6, 1e6], added exactly, had a grain of 2^-33 or
+        # finer, so w + m kept w modulo 2^-33 wherever m was a multiple of
+        # 2^-33: about two thirds of a 10 x 51 matrix.  The same words are
+        # used for that earlier mapping here.
+        w = np.random.default_rng(3).standard_normal((10, 51))
+        words = mask_tensor(_SCHEDULES_FOR_PROPERTY[self.PEERS[0]].key_for(self.PEERS[1]), 1, w.shape)
+        float_masks = (2.0 * (words / 2.0**64) - 1.0) * 1e6
+        grain = 2.0**-33
+        kept = np.mean(np.fmod(float_masks, grain) == 0)
+        assert 0.6 < kept < 0.75
+        # Now the body carries no bits below 2^-32 at all, so the masked
+        # value matches w modulo 2^-33 only where w sits on that grid.
+        masked = self._masked(w).total.ravel()
+        unit, grain = Fraction(1, 2**GRID_BITS), Fraction(grain)
+        same = [(int(q) * unit - Fraction(v)) % grain == 0 for q, v in zip(masked, w.ravel())]
+        on_grain = [Fraction(v) % grain == 0 for v in w.ravel()]
+        assert sum(same) == sum(on_grain) == 0
+
+    @pytest.mark.parametrize("bits", [1, 2, 8, 16])
+    def test_low_grid_bits_match_w_at_chance(self, bits):
+        # for w on the grid, the masked words agree with w's grid integers
+        # modulo 2^bits about as often as uniform words would
+        q = to_exact(np.random.default_rng(4).standard_normal((10, 51)))
+        masked = self._masked(q)
+        same = (masked.total.view(np.uint64) - q.total.view(np.uint64)) % np.uint64(2**bits) == 0
+        assert stats.binomtest(int(same.sum()), same.size, 2.0**-bits).pvalue > 1e-3
+
+    @pytest.mark.parametrize("value", [0.75, -3.0, 0.0])
+    def test_top_byte_is_uniform_for_a_fixed_w(self, value):
+        w = to_exact(np.full((10, 51), value))
+        top = np.concatenate([
+            (self._masked(w, iteration).total.view(np.uint64) >> np.uint64(56)).ravel()
+            for iteration in range(1, 21)
+        ])
+        counts = np.bincount(top.astype(np.int64), minlength=256)
+        assert stats.chisquare(counts).pvalue > 0.01
+        # unmasked, the top byte of a fixed w is one value: the test has power
+        unmasked = np.bincount((w.total.view(np.uint64) >> np.uint64(56)).ravel().astype(np.int64), minlength=256)
+        assert stats.chisquare(np.tile(unmasked, 20)).pvalue < 1e-6

@@ -1,11 +1,13 @@
 """Tests for the logistic-regression model and client-round procedures."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedsim.dp import Calibration
-from fedsim.exact import exact_mean, to_exact, to_float
+from fedsim.exact import GRID_BITS, exact_mean, to_exact, to_float
 from fedsim.models import (
     Dataset,
     EvalReport,
@@ -22,6 +24,16 @@ from fedsim.models import (
     subtract_own_noise,
     zero_weights,
 )
+
+
+def grid_ints(x: np.ndarray) -> list[int]:
+    """The nearest grid integer of each element, ties to even, as Python ints."""
+    return [round(Fraction(float(v)) * 2**GRID_BITS) for v in x.ravel()]
+
+
+def snapped(x: np.ndarray) -> np.ndarray:
+    """``x`` rounded to the grid, through Fraction."""
+    return np.array([float(Fraction(q, 2**GRID_BITS)) for q in grid_ints(x)]).reshape(x.shape)
 
 
 def fd_gradient(w, data, alpha, h=1e-6):
@@ -263,7 +275,13 @@ class TestFederatedAverage:
 
     def test_idempotent_on_copies(self):
         a = np.random.default_rng(0).standard_normal((3, 4))
-        assert np.array_equal(to_float(exact_mean([a, a.copy(), a.copy()])), a)
+        mean = exact_mean([a, a.copy(), a.copy()])
+        assert mean.count == 3
+        assert [int(t) for t in mean.total.ravel()] == [3 * q for q in grid_ints(a)]
+        # a matrix on the grid comes back bit for bit; any other is snapped
+        assert np.array_equal(to_float(mean).view(np.uint64), snapped(a).view(np.uint64))
+        on_grid = snapped(a)
+        assert np.array_equal(to_float(exact_mean([on_grid] * 3)), on_grid)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -313,11 +331,12 @@ class TestConverged:
 class TestSubtractOwnNoise:
     def test_single_client_recovers_clean_weights(self):
         rng = np.random.default_rng(13)
-        w = rng.standard_normal((3, 4))
-        g = rng.standard_normal((3, 4)) * 100
+        w = snapped(rng.standard_normal((3, 4)))
+        g = snapped(rng.standard_normal((3, 4)) * 100)
         noisy = to_exact(w) + to_exact(g)
-        recovered = to_float(subtract_own_noise(noisy, g, 1))
-        assert np.array_equal(recovered, w)
+        recovered = subtract_own_noise(noisy, g, 1)
+        assert recovered.count == 1 and [int(t) for t in recovered.total.ravel()] == grid_ints(w)
+        assert np.array_equal(to_float(recovered).view(np.uint64), w.view(np.uint64))
 
     def test_two_clients_one_noiseless(self):
         rng = np.random.default_rng(17)
@@ -391,9 +410,11 @@ class TestClientRoundIncremental:
             sgd_train(self.data, w0, self.cfg, np.random.default_rng(33)),
             None, np.random.default_rng(0),
         )
-        assert np.array_equal(result.weights, trained)
-        assert np.array_equal(result.clean, trained)
-        assert np.all(result.record == 0)
+        # the body is the SGD output snapped to the grid, and clean its value
+        assert result.weights.count == 1
+        assert [int(t) for t in result.weights.total.ravel()] == grid_ints(trained)
+        assert np.array_equal(result.clean.view(np.uint64), snapped(trained).view(np.uint64))
+        assert np.all(result.record == 0) and result.calibration is None
 
     def test_record_matches_perturbation_exactly(self):
         result = finish_round(
@@ -401,10 +422,16 @@ class TestClientRoundIncremental:
             self.cal, np.random.default_rng(35),
         )
         trained = sgd_train(self.data, zero_weights(2, 2), self.cfg, np.random.default_rng(34))
+        assert np.array_equal(result.clean.view(np.uint64), snapped(trained).view(np.uint64))
+        # the record lies on the grid, and the body is the two parts' sum
+        z = [Fraction(float(v)) * 2**GRID_BITS for v in result.record.ravel()]
+        assert all(f.denominator == 1 for f in z) and any(z)
+        assert [int(t) for t in result.weights.total.ravel()] == [
+            q + int(f) for q, f in zip(grid_ints(trained), z)
+        ]
         assert np.array_equal(
-            to_float(result.weights - to_exact(result.record)), trained
+            to_float(result.weights - to_exact(result.record)), result.clean
         )
-        assert np.array_equal(result.clean, trained)
         assert result.calibration == self.cal
 
 
@@ -483,7 +510,8 @@ class TestClientRoundRetrain:
             zero_weights(2, 2), self._subset(40), None, 1e-6, self.cfg,
             None, np.random.default_rng(6), np.random.default_rng(0),
         )
-        assert np.array_equal(from_far.weights, from_zero.weights)
+        assert np.all(from_far.weights == from_zero.weights)
+        assert np.array_equal(from_far.clean, from_zero.clean)
 
     def test_growing_data_does_not_increase_final_loss(self):
         # retrains on nested subsets; objective on the full set should not
