@@ -1,7 +1,9 @@
 """Configuration ingestion, dataset loading/partitioning, report emission.
 
-A simulation is described by a single JSON document; every cross-field
-invariant is checked before any simulation work starts, so an invalid
+A simulation is described by a single JSON document.  One table,
+``FIELDS``, holds every key of the document with what it accepts, its
+default and what it means; the rules that tie keys together follow it.
+Both are checked before any simulation work starts, so an invalid
 configuration never reaches the engine.  Per-client seeds feed independent
 child streams for training, noise and key generation, which keeps feature
 toggles from perturbing one another's random sequences.
@@ -13,86 +15,18 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dp import MECHANISMS, PLACEMENTS
 from .models import Dataset, TrainConfig
 
-TOPOLOGIES = ("centralized", "serverless")
-ALGORITHMS = ("incremental", "retrain")
-
-_TOP_LEVEL_KEYS = {
-    "num_clients", "num_iterations", "topology", "algorithm",
-    "use_security", "use_dp_privacy", "subtract_dp_noise", "client_dropout",
-    "simulate_latencies", "using_cumulative", "weighted_averaging",
-    "mechanism", "dp_placement", "epsilons", "deltas", "tolerance",
-    "latencies", "seeds", "data_seed", "server_seed",
-    "dataset_sizes", "test_size", "data", "train", "compute",
-}
-
 
 class ConfigError(ValueError):
     """A configuration document failed validation; the message names the field."""
-
-
-@dataclass
-class SimConfig:
-    """Validated simulation parameters (see the JSON schema in the README)."""
-
-    num_clients: int
-    num_iterations: int
-    topology: str
-    algorithm: str
-    use_security: bool
-    use_dp_privacy: bool
-    subtract_dp_noise: bool
-    client_dropout: bool
-    simulate_latencies: bool
-    using_cumulative: bool
-    mechanism: str
-    dp_placement: str
-    epsilons: list
-    tolerance: float
-    seeds: list
-    dataset_sizes: list
-    test_size: int
-    data: dict
-    train: TrainConfig
-    deltas: list | None = None
-    latencies: dict = field(default_factory=dict)
-    weighted_averaging: bool = False
-    data_seed: int = 0
-    server_seed: int = 0
-    client_compute_s: float | None = None
-    server_compute_s: float | None = None
-
-    # -- engine-facing accessors -----------------------------------------
-
-    def client_names(self) -> list[str]:
-        return [f"client_agent{i}" for i in range(self.num_clients)]
-
-    def latency_entries(self) -> dict[tuple[str, str], float]:
-        return {
-            (sender, recipient): float(value)
-            for sender, recipients in self.latencies.items()
-            for recipient, value in recipients.items()
-        }
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["compute"] = {
-            "client_s": out.pop("client_compute_s"),
-            "server_s": out.pop("server_compute_s"),
-        }
-        return out
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
 
 
 def _numeric(value, integer: bool = False) -> bool:
@@ -109,281 +43,313 @@ def _numeric(value, integer: bool = False) -> bool:
     return not integer and isinstance(value, float) and math.isfinite(value)
 
 
+class Type(NamedTuple):
+    """What a value must be: ``phrase`` names it in errors, ``test`` accepts
+    it and ``read`` turns an accepted value into the stored one."""
+
+    phrase: str
+    test: Callable[[object], bool]
+    read: Callable[[object], object] = lambda value: value
+
+
+INTEGER = Type("an integer", lambda value: _numeric(value, integer=True))
+NUMBER = Type("a number", _numeric, float)
+BOOLEAN = Type("a boolean", lambda value: isinstance(value, bool))
+STRING = Type("a string", lambda value: isinstance(value, str))
+
+
+def one_of(choices: tuple) -> Type:
+    return Type(f"one of {choices}", lambda value: value in choices)
+
+
+def or_null(type_: Type) -> Type:
+    return Type(
+        f"null or {type_.phrase}",
+        lambda value: value is None or type_.test(value),
+        lambda value: None if value is None else type_.read(value),
+    )
+
+
+class Range(NamedTuple):
+    """The numbers a value may be: ``phrase`` names them in errors."""
+
+    phrase: str
+    test: Callable[[float], bool]
+
+
+def at_least(low: int) -> Range:
+    return Range(f">= {low}", lambda value: value >= low)
+
+
+def above(low: int) -> Range:
+    return Range(f"> {low}", lambda value: value > low)
+
+
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Field:
+    """One key of the configuration document.
+
+    ``key`` is dotted for a key of an object (``train.batch_size``), and
+    ``when`` confines a ``data`` key to one data kind.  A value must be a
+    ``type`` and, unless null, lie in ``range``; ``shape`` nests such values
+    in lists or objects, whose entries errors name ``key[i]`` or
+    ``key['name']``.  An absent key takes its ``default``, which may depend
+    on the client count; a ``nullable`` key reads null as its default too.
+    """
+
+    key: str
+    type: Type
+    range: Range | None
+    doc: str
+    default: object = REQUIRED
+    shape: tuple[str, ...] = ()
+    nullable: bool = False
+    when: str | None = None
+
+
+FIELDS = (
+    Field("num_clients", INTEGER, at_least(1), "number of client agents"),
+    Field("num_iterations", INTEGER, at_least(0), "federated rounds to run"),
+    Field("topology", one_of(("centralized", "serverless")), None,
+          "whether a server coordinates the rounds"),
+    Field("algorithm", one_of(("incremental", "retrain")), None,
+          "train on each round's fresh rows, or retrain on all local rows"),
+    Field("use_security", BOOLEAN, None, "mask outgoing weights with pairwise keys"),
+    Field("use_dp_privacy", BOOLEAN, None, "add differentially private noise"),
+    Field("subtract_dp_noise", BOOLEAN, None, "clients remove their own noise share"),
+    Field("client_dropout", BOOLEAN, None, "converged clients leave after the round"),
+    Field("simulate_latencies", BOOLEAN, None, "stamp messages from ``latencies``"),
+    Field("using_cumulative", BOOLEAN, None, "each round's rows extend the last round's"),
+    Field("weighted_averaging", BOOLEAN, None, "weight the mean by dataset size",
+          default=False),
+    Field("mechanism", one_of(MECHANISMS), None, "noise mechanism", default="laplace"),
+    Field("dp_placement", one_of(PLACEMENTS), None, "who adds the noise", default="local"),
+    Field("epsilons", or_null(NUMBER), above(0), "privacy loss per client; null adds no noise",
+          default=lambda n: [None] * n, shape=("list",)),
+    Field("deltas", NUMBER, Range("in [0, 1)", lambda value: 0 <= value < 1),
+          "delta per client", default=None, shape=("list",), nullable=True),
+    Field("tolerance", NUMBER, above(0), "convergence threshold on weight distance"),
+    Field("latencies", NUMBER, at_least(0), "seconds per link, by sender then recipient",
+          default={}, shape=("object", "object"), nullable=True),
+    Field("seeds", INTEGER, at_least(0), "seed per client", shape=("list",)),
+    Field("data_seed", INTEGER, at_least(0), "seeds synthesis and partitioning", default=0),
+    Field("server_seed", INTEGER, at_least(0), "seeds server-placed noise", default=0),
+    Field("dataset_sizes", INTEGER, at_least(1), "new rows per client per round",
+          shape=("list", "list")),
+    Field("test_size", INTEGER, at_least(1), "rows of the shared test set"),
+    Field("data.kind", one_of(("synth", "csv")), None, "where the rows come from"),
+    Field("data.classes", INTEGER, at_least(2), "class count", when="synth"),
+    Field("data.features", INTEGER, at_least(1), "feature count", when="synth"),
+    Field("data.rows", INTEGER, at_least(1), "rows to synthesize", when="synth"),
+    Field("data.separation", NUMBER, at_least(0), "distance between class means",
+          when="synth"),
+    Field("data.path", STRING, None, "CSV file, relative to the config file", when="csv"),
+    Field("data.label_column", STRING, None, "column of integer labels", when="csv"),
+    Field("train.local_steps", INTEGER, at_least(1), "SGD steps per round"),
+    Field("train.learning_rate", NUMBER, above(0), "SGD step size"),
+    Field("train.l2_alpha", NUMBER, above(0), "L2 regularization strength"),
+    Field("train.batch_size", INTEGER, at_least(1), "rows per SGD step"),
+    Field("compute.client_s", or_null(NUMBER), at_least(0),
+          "injected client compute seconds; null measures", default=None),
+    Field("compute.server_s", or_null(NUMBER), at_least(0),
+          "injected server compute seconds; null measures", default=None),
+)
+
+_SECTIONS = {f.key.split(".")[0] for f in FIELDS if "." in f.key}
+# an object whose every key has a default may be null or left out
+_OPTIONAL_SECTIONS = _SECTIONS - {
+    f.key.split(".")[0] for f in FIELDS if "." in f.key and f.default is REQUIRED
+}
+
+
+@dataclass
+class SimConfig:
+    """Validated simulation parameters: one attribute per top-level key of
+    ``FIELDS``, every default filled in."""
+
+    num_clients: int
+    num_iterations: int
+    topology: str
+    algorithm: str
+    use_security: bool
+    use_dp_privacy: bool
+    subtract_dp_noise: bool
+    client_dropout: bool
+    simulate_latencies: bool
+    using_cumulative: bool
+    weighted_averaging: bool
+    mechanism: str
+    dp_placement: str
+    epsilons: list
+    deltas: list | None
+    tolerance: float
+    latencies: dict
+    seeds: list
+    data_seed: int
+    server_seed: int
+    dataset_sizes: list
+    test_size: int
+    data: dict
+    train: TrainConfig
+    compute: dict
+
+    # -- engine-facing accessors -----------------------------------------
+
+    @property
+    def client_compute_s(self) -> float | None:
+        return self.compute["client_s"]
+
+    @property
+    def server_compute_s(self) -> float | None:
+        return self.compute["server_s"]
+
+    def client_names(self) -> list[str]:
+        return [f"client_agent{i}" for i in range(self.num_clients)]
+
+    def latency_entries(self) -> dict[tuple[str, str], float]:
+        return {
+            (sender, recipient): float(value)
+            for sender, recipients in self.latencies.items()
+            for recipient, value in recipients.items()
+        }
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 def config_from_dict(raw: dict) -> SimConfig:
     """Build and fully validate a SimConfig from a parsed JSON document."""
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    _require(not unknown, f"unknown configuration keys: {sorted(unknown)}")
-    missing = _TOP_LEVEL_KEYS - set(raw) - {
-        "deltas", "latencies", "data_seed", "server_seed", "compute",
-        "mechanism", "dp_placement", "epsilons", "weighted_averaging",
-    }
-    _require(not missing, f"missing configuration keys: {sorted(missing)}")
+    flat = {}
+    for key, value in raw.items():
+        if key not in _SECTIONS:
+            if "." in key:  # no top-level key may pose as a nested one
+                raise ConfigError(f"{key}: unknown key")
+            flat[key] = value
+            continue
+        if value is None and key in _OPTIONAL_SECTIONS:
+            value = {}
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key}: must be an object, got {value!r}")
+        flat.update((f"{key}.{name}", item) for name, item in value.items())
 
-    n = raw["num_clients"]
-    _require(
-        _numeric(n, integer=True) and n >= 1,
-        f"num_clients: must be a positive integer, got {n!r}",
-    )
-    iters = raw["num_iterations"]
-    _require(
-        _numeric(iters, integer=True) and iters >= 0,
-        f"num_iterations: must be a nonnegative integer, got {iters!r}",
-    )
-    topology = raw["topology"]
-    _require(topology in TOPOLOGIES, f"topology: must be one of {TOPOLOGIES}, got {topology!r}")
-    algorithm = raw["algorithm"]
-    _require(
-        algorithm in ALGORITHMS, f"algorithm: must be one of {ALGORITHMS}, got {algorithm!r}"
-    )
-    for flag in (
-        "use_security", "use_dp_privacy", "subtract_dp_noise",
-        "client_dropout", "simulate_latencies", "using_cumulative",
-    ):
-        _require(isinstance(raw[flag], bool), f"{flag}: must be a boolean, got {raw[flag]!r}")
-    weighted = raw.get("weighted_averaging", False)
-    _require(
-        isinstance(weighted, bool),
-        f"weighted_averaging: must be a boolean, got {weighted!r}",
-    )
-    if weighted:
+    values = {}
+    for f in FIELDS:
+        if f.when is None or f.when == values["data.kind"]:
+            values[f.key] = _read(f, flat, values.get("num_clients"))
+    unknown = sorted(set(flat) - set(values))
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown key")
+
+    doc = {section: {} for section in _SECTIONS}
+    for key, value in values.items():
+        section, _, name = key.rpartition(".")
+        (doc[section] if section else doc)[name] = value
+    doc["train"] = TrainConfig(**doc["train"])
+    config = SimConfig(**doc)
+    _check_across(config)
+    return config
+
+
+def _read(f: Field, flat: dict, num_clients: int | None):
+    """The stored value of ``f`` in the flattened document ``flat``."""
+    if f.key in flat and not (flat[f.key] is None and f.nullable):
+        return _checked(f.key, flat[f.key], f, f.shape)
+    if f.default is REQUIRED:
+        raise ConfigError(f"{f.key}: missing")
+    # a callable default has one entry per client; checking a default copies it
+    default = f.default(num_clients) if callable(f.default) else f.default
+    return default if default is None else _checked(f.key, default, f, f.shape)
+
+
+def _checked(path: str, value, f: Field, shape: tuple[str, ...]):
+    """``value``, nested as ``shape`` says, read as ``f`` stores it."""
+    if not shape:
+        if not (
+            f.type.test(value)
+            and (value is None or f.range is None or f.range.test(value))
+        ):
+            must = f.type.phrase if f.range is None else f"{f.type.phrase} {f.range.phrase}"
+            raise ConfigError(f"{path}: must be {must}, got {value!r}")
+        return f.type.read(value)
+    if shape[0] == "list":
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: must be a list, got {value!r}")
+        return [_checked(f"{path}[{i}]", item, f, shape[1:]) for i, item in enumerate(value)]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: must be an object, got {value!r}")
+    return {k: _checked(f"{path}[{k!r}]", item, f, shape[1:]) for k, item in value.items()}
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ConfigError(message)
+
+
+def _check_across(c: SimConfig) -> None:
+    """The rules that tie keys together, then the pairing warnings."""
+    n, iters = c.num_clients, c.num_iterations
+    if c.weighted_averaging:
         # pairwise masks only cancel out of an unweighted mean, and the
         # noise-subtraction contract assumes an unweighted 1/n share
+        _require(not c.use_security, "weighted_averaging: cannot be combined with use_security")
         _require(
-            not raw["use_security"],
-            "weighted_averaging: cannot be combined with use_security",
-        )
-        _require(
-            not raw["subtract_dp_noise"],
+            not c.subtract_dp_noise,
             "weighted_averaging: cannot be combined with subtract_dp_noise",
         )
-
-    use_dp = raw["use_dp_privacy"]
-    mechanism = raw.get("mechanism", "laplace")
-    placement = raw.get("dp_placement", "local")
-    _require(mechanism in MECHANISMS, f"mechanism: must be one of {MECHANISMS}, got {mechanism!r}")
-    _require(
-        placement in PLACEMENTS, f"dp_placement: must be one of {PLACEMENTS}, got {placement!r}"
-    )
-    if use_dp:
+    if c.use_dp_privacy:
         _require(
-            (placement == "distributed") == (mechanism == "distributed_laplace"),
+            (c.dp_placement == "distributed") == (c.mechanism == "distributed_laplace"),
             "dp_placement: 'distributed' placement and 'distributed_laplace' "
             "mechanism must be used together",
         )
         _require(
-            not (topology == "serverless" and placement == "global_server"),
+            not (c.topology == "serverless" and c.dp_placement == "global_server"),
             "dp_placement: 'global_server' requires the centralized topology",
         )
-
-    epsilons = raw.get("epsilons", [None] * n)
-    _require(
-        isinstance(epsilons, list) and len(epsilons) == n,
-        f"epsilons: must be a list of length num_clients={n}, got {epsilons!r}",
-    )
-    for i, eps in enumerate(epsilons):
-        _require(
-            eps is None or (_numeric(eps) and eps > 0),
-            f"epsilons[{i}]: must be null or a positive number, got {eps!r}",
+    for key in ("epsilons", "deltas", "seeds", "dataset_sizes"):
+        value = getattr(c, key)
+        if value is not None and len(value) != n:
+            raise ConfigError(f"{key}: must be a list of length num_clients={n}, got {value!r}")
+    for i, sizes in enumerate(c.dataset_sizes):
+        if len(sizes) != iters:
+            raise ConfigError(f"dataset_sizes[{i}]: must list {iters} per-iteration sizes")
+    if c.use_dp_privacy and c.mechanism == "gaussian":
+        _require(c.deltas is not None, "deltas: required when mechanism is 'gaussian'")
+        for i, (epsilon, delta) in enumerate(zip(c.epsilons, c.deltas)):
+            if delta <= 0 and epsilon is not None:
+                raise ConfigError(f"deltas[{i}]: gaussian mechanism requires delta > 0")
+    if c.data["kind"] == "synth" and c.data["rows"] < c.data["classes"]:
+        raise ConfigError(
+            f"data.rows: must be >= data.classes={c.data['classes']}, got {c.data['rows']}"
         )
-    deltas = raw.get("deltas")
-    if deltas is not None:
-        _require(
-            isinstance(deltas, list) and len(deltas) == n,
-            f"deltas: must be null or a list of length num_clients={n}",
-        )
-        for i, d in enumerate(deltas):
-            _require(
-                _numeric(d) and 0 <= d < 1,
-                f"deltas[{i}]: must be in [0, 1), got {d!r}",
-            )
-    if use_dp and mechanism == "gaussian":
-        _require(deltas is not None, "deltas: required when mechanism is 'gaussian'")
-        for i, d in enumerate(deltas):
-            _require(
-                d > 0 or epsilons[i] is None,
-                f"deltas[{i}]: gaussian mechanism requires delta > 0",
-            )
+    if c.simulate_latencies:
+        from .engine import SERVER_NAME
 
-    tolerance = raw["tolerance"]
-    _require(
-        _numeric(tolerance) and tolerance > 0,
-        f"tolerance: must be positive and finite, got {tolerance!r}",
-    )
+        entries = c.latency_entries()
+        names = c.client_names()
+        if c.topology == "centralized":
+            needed = [(SERVER_NAME, x) for x in names] + [(x, SERVER_NAME) for x in names]
+        else:
+            needed = [(a, b) for a in names for b in names if a != b]
+        for sender, recipient in needed:
+            if (sender, recipient) not in entries:
+                raise ConfigError(
+                    f"latencies: missing entry for pair ({sender!r}, {recipient!r})"
+                )
 
-    seeds = raw["seeds"]
-    _require(
-        isinstance(seeds, list) and len(seeds) == n
-        and all(_numeric(s, integer=True) and s >= 0 for s in seeds),
-        f"seeds: must be a list of {n} nonnegative integers",
-    )
-    for key in ("data_seed", "server_seed"):
-        value = raw.get(key, 0)
-        _require(
-            _numeric(value, integer=True) and value >= 0,
-            f"{key}: must be a nonnegative integer, got {value!r}",
-        )
-
-    sizes = raw["dataset_sizes"]
-    _require(
-        isinstance(sizes, list) and len(sizes) == n,
-        f"dataset_sizes: must be a list of length num_clients={n}",
-    )
-    for i, per_iter in enumerate(sizes):
-        _require(
-            isinstance(per_iter, list) and len(per_iter) == iters,
-            f"dataset_sizes[{i}]: must list {iters} per-iteration sizes",
-        )
-        for j, s in enumerate(per_iter):
-            _require(
-                _numeric(s, integer=True) and s >= 1,
-                f"dataset_sizes[{i}][{j}]: must be a positive integer, got {s!r}",
-            )
-
-    test_size = raw["test_size"]
-    _require(
-        _numeric(test_size, integer=True) and test_size >= 1,
-        f"test_size: must be a positive integer, got {test_size!r}",
-    )
-
-    data = raw["data"]
-    _require(isinstance(data, dict), "data: must be an object")
-    kind = data.get("kind")
-    if kind == "synth":
-        for key, minimum in (("classes", 2), ("features", 1), ("rows", 1)):
-            _require(
-                _numeric(data.get(key), integer=True) and data[key] >= minimum,
-                f"data.{key}: must be an integer >= {minimum}",
-            )
-        _require(
-            _numeric(data.get("separation")) and data["separation"] >= 0,
-            "data.separation: must be a nonnegative number",
-        )
-    elif kind == "csv":
-        _require(isinstance(data.get("path"), str), "data.path: must be a string")
-        _require(
-            isinstance(data.get("label_column"), str), "data.label_column: must be a string"
-        )
-    else:
-        raise ConfigError(f"data.kind: must be 'synth' or 'csv', got {kind!r}")
-
-    train_raw = raw["train"]
-    _require(isinstance(train_raw, dict), "train: must be an object")
-    for key, integer in (
-        ("local_steps", True), ("learning_rate", False),
-        ("l2_alpha", False), ("batch_size", True),
-    ):
-        _require(key in train_raw, f"train.{key}: missing")
-        _require(
-            _numeric(train_raw[key], integer),
-            f"train.{key}: must be {'an integer' if integer else 'a number'}, "
-            f"got {train_raw[key]!r}",
-        )
-    try:
-        train = TrainConfig(
-            local_steps=train_raw["local_steps"],
-            learning_rate=train_raw["learning_rate"],
-            l2_alpha=train_raw["l2_alpha"],
-            batch_size=train_raw["batch_size"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from None
-
-    compute = raw.get("compute")
-    if compute is None:
-        compute = {}
-    _require(isinstance(compute, dict), "compute: must be an object")
-    for key in compute:
-        _require(key in ("client_s", "server_s"), f"compute.{key}: unknown key")
-    client_s = compute.get("client_s")
-    server_s = compute.get("server_s")
-    for key, value in (("client_s", client_s), ("server_s", server_s)):
-        _require(
-            value is None or (_numeric(value) and value >= 0),
-            f"compute.{key}: must be null or a nonnegative number, got {value!r}",
-        )
-
-    latencies = raw.get("latencies")
-    if latencies is None:
-        latencies = {}
-    _require(isinstance(latencies, dict), "latencies: must be an object of objects")
-    for sender, recipients in latencies.items():
-        _require(
-            isinstance(recipients, dict),
-            f"latencies[{sender!r}]: must be an object",
-        )
-        for recipient, value in recipients.items():
-            _require(
-                _numeric(value) and value >= 0,
-                f"latencies[{sender!r}][{recipient!r}]: must be nonnegative, got {value!r}",
-            )
-
-    config = SimConfig(
-        num_clients=n,
-        num_iterations=iters,
-        topology=topology,
-        algorithm=algorithm,
-        use_security=raw["use_security"],
-        use_dp_privacy=use_dp,
-        subtract_dp_noise=raw["subtract_dp_noise"],
-        client_dropout=raw["client_dropout"],
-        simulate_latencies=raw["simulate_latencies"],
-        using_cumulative=raw["using_cumulative"],
-        mechanism=mechanism,
-        dp_placement=placement,
-        epsilons=list(epsilons),
-        deltas=list(deltas) if deltas is not None else None,
-        tolerance=float(tolerance),
-        latencies=latencies,
-        weighted_averaging=weighted,
-        seeds=list(seeds),
-        data_seed=raw.get("data_seed", 0),
-        server_seed=raw.get("server_seed", 0),
-        dataset_sizes=[list(map(int, per)) for per in sizes],
-        test_size=test_size,
-        data=dict(data),
-        train=train,
-        client_compute_s=float(client_s) if client_s is not None else None,
-        server_compute_s=float(server_s) if server_s is not None else None,
-    )
-    _validate_latency_coverage(config)
-    _pairing_warnings(config)
-    return config
-
-
-def _validate_latency_coverage(config: SimConfig) -> None:
-    if not config.simulate_latencies:
-        return
-    from .engine import SERVER_NAME
-
-    entries = config.latency_entries()
-    names = config.client_names()
-    if config.topology == "centralized":
-        needed = [(SERVER_NAME, c) for c in names] + [(c, SERVER_NAME) for c in names]
-    else:
-        needed = [(a, b) for a in names for b in names if a != b]
-    for pair in needed:
-        _require(
-            pair in entries,
-            f"latencies: missing entry for pair ({pair[0]!r}, {pair[1]!r})",
-        )
-
-
-def _pairing_warnings(config: SimConfig) -> None:
-    if config.using_cumulative and config.algorithm == "incremental":
+    if c.using_cumulative and c.algorithm == "incremental":
         warnings.warn(
-            "using_cumulative=true is intended for the 'retrain' algorithm",
-            stacklevel=3,
+            "using_cumulative=true is intended for the 'retrain' algorithm", stacklevel=3
         )
-    if not config.using_cumulative and config.algorithm == "retrain":
+    if not c.using_cumulative and c.algorithm == "retrain":
         warnings.warn(
-            "using_cumulative=false is intended for the 'incremental' algorithm",
-            stacklevel=3,
+            "using_cumulative=false is intended for the 'incremental' algorithm", stacklevel=3
         )
-    if config.subtract_dp_noise and config.dp_placement == "global_server":
-        warnings.warn(
-            "subtract_dp_noise has no effect with server-placed noise",
-            stacklevel=3,
-        )
+    if c.subtract_dp_noise and c.dp_placement == "global_server":
+        warnings.warn("subtract_dp_noise has no effect with server-placed noise", stacklevel=3)
 
 
 def load_config(path: str | Path) -> SimConfig:

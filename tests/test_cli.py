@@ -70,6 +70,16 @@ class TestRun:
         path.write_text(json.dumps(raw))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
 
+    def test_fewer_rows_than_classes_exits_1(self, tmp_path, capsys):
+        raw = base_config_dict(
+            data={"kind": "synth", "classes": 3, "features": 5, "rows": 2,
+                  "separation": 2.5},
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "data.rows" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", str(config_path), "--out", str(out_a)]) == 0

@@ -2,12 +2,15 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import base_config_dict, make_config, make_simulation
 from fedsim.config import (
+    FIELDS,
+    REQUIRED,
     ConfigError,
     build_inputs,
     config_from_dict,
@@ -58,6 +61,17 @@ class TestLoadConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             config_from_dict(base_config_dict(bogus_key=1))
+
+    def test_fewer_rows_than_classes_rejected(self):
+        data = {"kind": "synth", "classes": 3, "features": 5, "rows": 2, "separation": 2.5}
+        with pytest.raises(ConfigError, match=r"^data\.rows: must be >= data\.classes"):
+            make_config(data=data)
+
+    def test_dotted_top_level_key_rejected(self):
+        raw = base_config_dict()
+        raw["train.local_steps"] = raw["train"].pop("local_steps")
+        with pytest.raises(ConfigError, match=r"^train\.local_steps: unknown key"):
+            config_from_dict(raw)
 
     def test_bad_topology(self):
         with pytest.raises(ConfigError, match="topology"):
@@ -196,11 +210,50 @@ class TestFieldTypes:
             ("compute.server_s", float("inf")),
             ("latencies", 0),
             ("latencies", []),
+            ("train.local_steps", 0),
+            ("train.batch_size", 0),
+            ("train.learning_rate", 0),
+            ("train.l2_alpha", -1),
+            ("train.batchsize", 3),
+            ("data.colour", 1),
         ],
     )
     def test_rejected_with_the_field_named(self, path, value):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}(\[\d+\])*: "):
             config_from_dict(_set(path, value))
+
+    # one value just outside each ranged key's range, in or as its entry
+    OUT_OF_RANGE = {
+        "num_clients": 0,
+        "num_iterations": -1,
+        "epsilons": [1.0, 0.0, None],
+        "deltas": [0.0, 1.0, 0.0],
+        "tolerance": 0.0,
+        "latencies": {"server_agent0": {"client_agent0": -0.5}},
+        "seeds": [11, -1, 33],
+        "data_seed": -1,
+        "server_seed": -1,
+        "dataset_sizes": [[20, 20, 20], [20, 0, 20], [20, 20, 20]],
+        "test_size": 0,
+        "data.classes": 1,
+        "data.features": 0,
+        "data.rows": 0,
+        "data.separation": -0.5,
+        "train.local_steps": 0,
+        "train.learning_rate": 0.0,
+        "train.l2_alpha": 0.0,
+        "train.batch_size": 0,
+        "compute.client_s": -0.5,
+        "compute.server_s": -0.5,
+    }
+
+    @pytest.mark.parametrize("key,value", OUT_OF_RANGE.items())
+    def test_out_of_range_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}(\[[^]]+\])*: must be "):
+            config_from_dict(_set(key, value))
+
+    def test_every_range_has_a_case(self):
+        assert set(self.OUT_OF_RANGE) == {f.key for f in FIELDS if f.range is not None}
 
     @pytest.mark.parametrize("key", ["compute", "latencies"])
     def test_null_object_reads_as_absent(self, key):
@@ -215,6 +268,41 @@ class TestFieldTypes:
         )
         assert config.to_dict()["tolerance"] == 1.0
         assert (config.data_seed, config.server_seed) == (0, 7)
+
+
+class TestReadmeSchema:
+    """The README's schema table states the keys and defaults of ``FIELDS``."""
+
+    @staticmethod
+    def rows() -> dict[str, str]:
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        schema = readme.split("## Configuration schema")[1].split("\n## ")[0]
+        cells = [re.split(r"(?<!\\)\|", line)[1:3] for line in schema.splitlines()
+                 if line.startswith("| `")]
+        return {name.strip().strip("`"): kind for name, kind in cells}
+
+    def test_lists_every_key(self):
+        assert list(self.rows()) == [f.key for f in FIELDS]
+
+    def test_states_every_default(self):
+        stated = {}
+        for key, kind in self.rows().items():
+            default = re.search(r"\(default (.*)\)", kind)
+            if default is not None:
+                text = default.group(1)
+                stated[key] = [None] * 3 if text == "all null" else json.loads(text)
+        table = {}
+        for f in FIELDS:
+            if f.default is not REQUIRED:
+                table[f.key] = f.default(3) if callable(f.default) else f.default
+        assert stated == table
+        # the defaults are what a document that leaves the key out reads
+        for key in table:
+            section, _, name = key.rpartition(".")
+            raw = base_config_dict()
+            (raw[section] if section else raw).pop(name, None)
+            read = config_from_dict(raw).to_dict()
+            assert (read[section] if section else read)[name] == stated[key], key
 
 
 class TestPartitionDataset:

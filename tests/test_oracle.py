@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import base_config_dict
-from fedsim.config import build_inputs, config_from_dict, emit_reports
-from fedsim.engine import run_simulation
+from fedsim.cli import main
+from fedsim.config import FIELDS, build_inputs, config_from_dict, emit_reports
+from fedsim.engine import SERVER_NAME, run_simulation
 
 REPORTS = ("accuracy.csv", "timing.csv", "summary.json")
 
@@ -36,8 +37,10 @@ BOOLS = st.sampled_from([True, False])
 @st.composite
 def small_configs(draw) -> dict:
     """A valid config dict: 1-4 clients, 1-3 rounds, either topology,
-    injected compute and no latencies.  ``using_cumulative`` follows the
-    algorithm, as the config expects, so no pairing warning is raised."""
+    injected compute, a synthetic or a CSV data source, and latencies over
+    every link of both topologies or none.  ``using_cumulative`` follows the
+    algorithm, as the config expects, so no pairing warning is raised;
+    weighting comes only with security and noise subtraction off."""
     n = draw(st.integers(1, 4))
     iters = draw(st.integers(1, 3))
     algorithm = draw(st.sampled_from(["incremental", "retrain"]))
@@ -52,11 +55,35 @@ def small_configs(draw) -> dict:
         "subtract_dp_noise": pair is not None and not server_noise and draw(BOOLS),
         "tolerance": draw(st.sampled_from([2.0, 0.5, 0.05])),
     }
+    weighted = not (flags["use_security"] or flags["subtract_dp_noise"]) and draw(BOOLS)
+    names = [f"client_agent{i}" for i in range(n)]
+    latency = st.sampled_from([0.01, 0.0, 0.3])
+    latencies = None
+    if draw(BOOLS):
+        # both topologies' links, since invariant (ii) flips the topology
+        latencies = {SERVER_NAME: {c: draw(latency) for c in names}}
+        for c in names:
+            latencies[c] = {SERVER_NAME: draw(latency)}
+            latencies[c].update({peer: draw(latency) for peer in names if peer != c})
+    delta = st.sampled_from([0.05, 1e-5] if mechanism == "gaussian" else [0.0, 0.05])
+    deltas = st.lists(delta, min_size=n, max_size=n)
+    if mechanism != "gaussian":
+        deltas = st.none() | deltas
     per_client = st.lists(st.integers(4, 16), min_size=iters, max_size=iters)
     sizes = draw(st.lists(per_client, min_size=n, max_size=n))
     test_size = 30
+    data = {"kind": "csv", "path": "data.csv", "label_column": "label"}  # see simulate
+    if draw(BOOLS):
+        data = {
+            "kind": "synth",
+            "classes": draw(st.integers(2, 4)),
+            "features": draw(st.integers(2, 5)),
+            "rows": test_size + sum(map(sum, sizes)),
+            "separation": 2.0,
+        }
     return base_config_dict(
         **flags,
+        weighted_averaging=weighted,
         num_clients=n,
         num_iterations=iters,
         algorithm=algorithm,
@@ -65,19 +92,15 @@ def small_configs(draw) -> dict:
         mechanism=mechanism,
         dp_placement=placement,
         epsilons=draw(st.lists(st.sampled_from([None, 0.5, 2.0, 8.0]), min_size=n, max_size=n)),
-        deltas=[0.05] * n if mechanism == "gaussian" else None,
+        deltas=draw(deltas),
+        simulate_latencies=latencies is not None,
+        latencies=latencies,
         seeds=draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)),
         data_seed=draw(st.integers(0, 1000)),
         server_seed=draw(st.integers(0, 1000)),
         dataset_sizes=sizes,
         test_size=test_size,
-        data={
-            "kind": "synth",
-            "classes": draw(st.integers(2, 4)),
-            "features": draw(st.integers(2, 5)),
-            "rows": test_size + sum(map(sum, sizes)),
-            "separation": 2.0,
-        },
+        data=data,
         train={
             "local_steps": draw(st.integers(1, 12)),
             "learning_rate": 0.5,
@@ -94,9 +117,13 @@ def small_configs(draw) -> dict:
 def simulate(raw: dict) -> dict[str, bytes]:
     """The three reports of one simulation of ``raw``, by file name."""
     config = config_from_dict(raw)
-    client_datasets, test_set = build_inputs(config)
-    reports = run_simulation(config, client_datasets, test_set)
     with tempfile.TemporaryDirectory() as out:
+        if config.data["kind"] == "csv":
+            rows = config.test_size + sum(map(sum, config.dataset_sizes))
+            main(["synth", "--classes", "3", "--features", "3", "--rows", str(rows),
+                  "--seed", str(config.data_seed), "--out", str(Path(out) / config.data["path"])])
+        client_datasets, test_set = build_inputs(config, base_dir=out)
+        reports = run_simulation(config, client_datasets, test_set)
         emit_reports(reports, out, config)
         return {name: (Path(out) / name).read_bytes() for name in REPORTS}
 
@@ -109,10 +136,12 @@ def test_reports_are_invariant(raw):
     # (iii) a rerun is byte-identical
     assert simulate(raw) == base
 
-    # (i) masks cancel exactly, so security never shows in the reports
-    flipped = simulate({**raw, "use_security": not raw["use_security"]})
-    for name in ("accuracy.csv", "timing.csv"):
-        assert flipped[name] == base[name], name
+    # (i) masks cancel exactly, so security never shows in the reports;
+    # weighting cannot be combined with security
+    if not raw["weighted_averaging"]:
+        flipped = simulate({**raw, "use_security": not raw["use_security"]})
+        for name in ("accuracy.csv", "timing.csv"):
+            assert flipped[name] == base[name], name
 
     # (ii) without a server adding noise, the topologies agree per client
     if raw["dp_placement"] != "global_server" or not raw["use_dp_privacy"]:
@@ -126,3 +155,21 @@ def test_config_round_trips(raw):
     # (iv)
     config = config_from_dict(raw)
     assert config_from_dict(config.to_dict()) == config
+
+
+def test_small_configs_draw_every_key():
+    """Every key of the config table shows up in some drawn config, so a
+    new key cannot escape the invariants above."""
+    drawn = set()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(small_configs())
+    def collect(raw):
+        for key, value in raw.items():
+            if key in ("data", "train", "compute"):
+                drawn.update(f"{key}.{name}" for name in value)
+            else:
+                drawn.add(key)
+
+    collect()
+    assert drawn == {f.key for f in FIELDS}
