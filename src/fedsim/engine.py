@@ -17,7 +17,8 @@ train (clients with one row count train in lock step in one stacked
 kernel call, equal to training each alone), send (noise, masks),
 aggregate and accept.  The topologies differ only in who aggregates and
 on which edges the bodies travel; the host forms a serverless round's
-mean once, as every client averages the same bodies.  Agents keep only
+mean once, as every client averages the same bodies, and without noise
+subtraction rounds and evaluates the shared model once.  Agents keep only
 state that lives across rounds and raise ``ProtocolError`` on a phase out
 of order.  Each client owns its random streams and sends int64 integers
 on the grid 2^-32, refusing any outside ``grid_bound`` (see ``exact``);
@@ -69,6 +70,7 @@ from .models import (
 SERVER_NAME = "server_agent0"
 Sent = tuple[dict[str, Any], float]  # a body and the time its sender has it
 Accepted = tuple[EvalReport, float, bool]  # evaluation, receipt time, converged
+Shared = tuple[np.ndarray, float]  # the round's model rounded once, and its accuracy
 
 
 class ProtocolError(RuntimeError):
@@ -214,7 +216,7 @@ class ClientAgent:
         self.schedule: MaskSchedule | None = None
 
         self._clean: dict[int, np.ndarray] = {}
-        self._records: dict[int, np.ndarray] = {}
+        self._records: dict[int, GridMatrix] = {}
         self._cache: ClientRound | None = None
         self._open: OpenRound | None = None
         self._compute: dict[int, float] = {}
@@ -328,7 +330,7 @@ class ClientAgent:
         if cfg.algorithm == "retrain":
             self._cache = result
         self._clean[iteration] = result.clean
-        self._records[iteration] = result.record
+        self._records[iteration] = result.noise
         if cfg.use_security:
             if self.schedule is None:
                 raise ProtocolError(f"{self.name} has no mask schedule")
@@ -347,29 +349,29 @@ class ClientAgent:
         body, duration = self._perturb_and_mask(env.iteration, trained, seconds)
         return body, env.sim_time + duration
 
-    def receive_weights(self, env: Envelope, rounded: np.ndarray | None = None) -> Accepted:
+    def receive_weights(self, env: Envelope, shared: Shared | None = None) -> Accepted:
         """Accept the federated model; evaluate and report convergence."""
-        return self._accept(env.iteration, env.body["weights"], env.sim_time, rounded)
+        return self._accept(env.iteration, env.body["weights"], env.sim_time, shared)
 
     def _accept(
-        self, iteration: int, fed: Any, receipt: float, rounded: np.ndarray | None
+        self, iteration: int, fed: Any, receipt: float, shared: Shared | None
     ) -> Accepted:
         """Take the federated model ``fed``, less our noise share with
-        ``subtract_dp_noise``, else as ``rounded`` when given; return the
-        evaluation, the receipt time and whether we converged."""
-        record = self._records.pop(iteration, None)
-        if record is None:
+        ``subtract_dp_noise``, else as ``shared`` (the model rounded and its
+        accuracy) when given; return the evaluation, the receipt time and
+        whether we converged."""
+        noise = self._records.pop(iteration, None)
+        if noise is None:
             raise ProtocolError(f"{self.name} never sent the iteration-{iteration} round")
         if self.config.subtract_dp_noise:
-            rounded = to_float(subtract_own_noise(fed, record, len(self.active_view)))
-        elif rounded is None:
+            fed, shared = subtract_own_noise(fed, noise, len(self.active_view)), None
+        if shared is None:
             rounded = to_float(fed)
-        self.federated_weights = rounded
+            shared = rounded, evaluate(rounded, self.test_set)
+        self.federated_weights, accuracy = shared
         local = self._clean[iteration]
-        report = EvalReport(
-            iteration, evaluate(local, self.test_set), evaluate(rounded, self.test_set)
-        )
-        return report, receipt, converged(local, rounded, self.config.tolerance)
+        report = EvalReport(iteration, evaluate(local, self.test_set), accuracy)
+        return report, receipt, converged(local, self.federated_weights, self.config.tolerance)
 
     def remove_active_clients(self, env: Envelope) -> None:
         """End-of-iteration dropout announcement: shrink the active view."""
@@ -393,7 +395,7 @@ class ClientAgent:
 
     def complete_peer_round(
         self, iteration: int, fed: GridMatrix, contributors: Sequence[str],
-        rounded: np.ndarray | None = None,
+        shared: Shared | None = None,
     ) -> Accepted:
         """Take the round's mean of every active client's contribution,
         ours included, and run the receive path.
@@ -419,7 +421,7 @@ class ClientAgent:
             )
         own_ready = self._compute.get(iteration, 0.0)  # _accept refuses an unsent round
         receipt = max([own_ready] + [received[p].sim_time for p in expected])
-        return self._accept(iteration, fed, receipt, rounded)
+        return self._accept(iteration, fed, receipt, shared)
 
     # -- report accessors -------------------------------------------------
 
@@ -485,6 +487,7 @@ class Simulation:
                     f"config runs {config.num_iterations}"
                 )
         self.config = config
+        self.test_set = test_set
         self.counters = MessageCounters()
 
         names = config.client_names()
@@ -661,19 +664,23 @@ class Simulation:
             server_dur = _charged(cfg.server_compute_s, started)
             ready = max(env.sim_time for env in replies.values()) + server_dur
 
-        # without noise subtraction every client takes the same model: round it once
-        rounded = None
+        # without noise subtraction every client takes the same model: round
+        # and evaluate it once
+        shared = None
         if not cfg.subtract_dp_noise:
             rounded = self._invoke(aggregator, iteration, to_float, fed)
+            shared = rounded, self._invoke(
+                aggregator, iteration, evaluate, rounded, self.test_set
+            )
         body = {"kind": "federated_weights", "weights": fed}
         evals, receipts, flags = {}, {}, {}
         for c in active:
             if server is None:
                 complete = self.directory[c].complete_peer_round
-                accepted = self._invoke(c, iteration, complete, iteration, fed, active, rounded)
+                accepted = self._invoke(c, iteration, complete, iteration, fed, active, shared)
             else:
                 accepted = self._send(
-                    SERVER_NAME, c, iteration, body, ready, "receive_weights", rounded
+                    SERVER_NAME, c, iteration, body, ready, "receive_weights", shared
                 )
             evals[c], receipts[c], flags[c] = accepted
 

@@ -157,53 +157,98 @@ def sgd_train_cohort(jobs: Sequence[TrainJob], cfg: TrainConfig) -> list[np.ndar
 
     Each job runs exactly ``cfg.local_steps`` minibatch gradient steps from
     its ``init``, with minibatches cycling through a permutation drawn from
-    its own ``rng`` and a fresh one after each full pass.  The cohort's
-    weights are one (k, C, F+1) array, and every step runs the float
-    operations of ``_gradient``, in its order, once over the whole stack.
-    A stacked matmul runs one 2-D gemm per job and reductions over the
-    class axis sum in 2-D order, so every result equals that job trained
-    on its own bit for bit.  No ``init`` is modified.
+    its own ``rng`` and a fresh one after each full pass; no other draw is
+    taken from it.  The cohort's weights are one (k, C, F+1) array, and
+    every step runs the float operations of ``_gradient``, in its order,
+    once over the whole stack.
+    The source rows are built once per call: every job's features with the
+    bias 1, and its labels one-hot, job-major in two (k*n, .) arrays.  A
+    pass writes each job's permutation, offset by its first source row,
+    into one (k, n) index array: ``permutation(n)`` shuffles ``arange(n)``,
+    so shuffling the job's row of source indices with its ``rng`` draws
+    the same.  A step gathers its batch's rows with one ``np.take`` per
+    source into buffers allocated once for a full batch (a shorter last
+    batch uses a prefix of them); every elementwise step then runs in
+    place.  The operands keep the
+    layouts of solo training: each job's batch is a C-contiguous (b, F+1)
+    block, the scores are row-major (k, b, C) and the gradient is the
+    TransA product ``probs.transpose(0, 2, 1) @ xb``.  A stacked matmul
+    runs one 2-D gemm per job and reductions over the class axis sum in
+    2-D order, so every result equals that job trained on its own bit for
+    bit.  No ``init`` is modified, and the results share no memory.
     """
     if not jobs:
         return []
-    n = len(jobs[0].data)
+    k, n = len(jobs), len(jobs[0].data)
     shape = jobs[0].init.shape
     for job in jobs:
         if len(job.data) != n:
             raise ValueError(f"cohort mixes row counts {n} and {len(job.data)}")
         if job.init.shape != shape:
             raise ValueError(f"cohort mixes weight shapes {shape} and {job.init.shape}")
+    classes, width = shape
+    # job i's row r is source row i*n + r
+    xs = np.ones((k * n, width))
+    ys = np.zeros((k * n, classes))
+    for i, job in enumerate(jobs):
+        xs[i * n : (i + 1) * n, :-1] = job.data.features
+        ys[np.arange(i * n, (i + 1) * n), job.data.labels] = 1.0
+    unshuffled = np.arange(k * n, dtype=np.intp).reshape(k, n)
+    order = np.empty_like(unshuffled)
+
+    def shapes(b: int) -> list[tuple[int, ...]]:
+        # at b rows per job: indices, gathered rows, one-hot labels, scores,
+        # class-major scores, row maxima, row sums
+        return [(k, b), (k, b, width), (k, b, classes), (k, b, classes),
+                (k, classes, b), (k, b), (k, b, 1)]
+
+    bounds = [(s, min(s + cfg.batch_size, n)) for s in range(0, n, cfg.batch_size)]
+    # allocated once for a full batch; a shorter last batch takes a prefix
+    indices, *floats = shapes(bounds[0][1])
+    pools = [np.empty(math.prod(indices), dtype=np.intp)]
+    pools += [np.empty(math.prod(dims)) for dims in floats]
+
+    def buffers(b: int) -> tuple:
+        picked, xb, yb, probs, by_class, top, total = (
+            pool[: math.prod(dims)].reshape(dims) for pool, dims in zip(pools, shapes(b))
+        )
+        return (b, picked, xb, yb, probs, probs.transpose(0, 2, 1), by_class,
+                top, top[:, :, None], total)
+
+    sized = {b: buffers(b) for b in {end - start for start, end in bounds}}
+    batches = [(order[:, start:end], *sized[end - start]) for start, end in bounds]
     w = np.stack([job.init for job in jobs])
-    # every pass refills these in place with each job's rows in its batch
-    # order, augmented by the bias 1, and its labels one-hot; so the batch
-    # views into them stay valid
-    x = np.ones((len(jobs), n, shape[1]))
-    onehot = np.empty((len(jobs), n, shape[0]))
-    classes = np.arange(shape[0])
-    batches = [
-        (x[:, start : start + cfg.batch_size], onehot[:, start : start + cfg.batch_size])
-        for start in range(0, n, cfg.batch_size)
-    ]
     w_t = w.transpose(0, 2, 1)
+    grad, l2 = np.empty_like(w), np.empty_like(w)
+    alpha, rate = cfg.l2_alpha, cfg.learning_rate
     for step in range(cfg.local_steps):
         position = step % len(batches)
         if position == 0:
-            for i, job in enumerate(jobs):
-                order = job.rng.permutation(n)
-                x[i, :, :-1] = job.data.features[order]
-                np.equal(job.data.labels[order, None], classes, out=onehot[i])
-        xb, yb = batches[position]
-        probs = xb @ w_t
+            np.copyto(order, unshuffled)
+            for job, row in zip(jobs, order):
+                job.rng.shuffle(row)
+        span, b, picked, xb, yb, probs, probs_t, by_class, top, top_col, total = batches[position]
+        # np.take would copy strided indices once per source; copy them once
+        np.copyto(picked, span)
+        # the indices are in range by construction; any mode but "raise"
+        # gathers straight into ``out``
+        np.take(xs, picked, axis=0, out=xb, mode="wrap")
+        np.take(ys, picked, axis=0, out=yb, mode="wrap")
+        np.matmul(xb, w_t, out=probs)
         # a max is exact in any order; over a class-major copy it is one
         # vectorised pass per class instead of one short loop per row
-        probs -= probs.transpose(0, 2, 1).copy().max(axis=1)[:, :, None]
+        np.copyto(by_class, probs_t)
+        np.maximum.reduce(by_class, axis=1, out=top)
+        probs -= top_col
         np.exp(probs, out=probs)
-        probs /= probs.sum(axis=2, keepdims=True)
+        np.add.reduce(probs, axis=2, keepdims=True, out=total)
+        probs /= total
         probs -= yb
-        grad = probs.transpose(0, 2, 1) @ xb
-        grad /= xb.shape[1]
-        grad += cfg.l2_alpha * w
-        grad *= cfg.learning_rate
+        np.matmul(probs_t, xb, out=grad)
+        grad /= b
+        np.multiply(w, alpha, out=l2)
+        grad += l2
+        grad *= rate
         w -= grad
     return [own.copy() for own in w]
 
@@ -235,17 +280,20 @@ def converged(local: np.ndarray, federated: np.ndarray, tolerance: float) -> boo
 
 
 def subtract_own_noise(
-    federated: np.ndarray | GridMatrix, noise: np.ndarray, active_count: int
+    federated: np.ndarray | GridMatrix, noise: np.ndarray | GridMatrix, active_count: int
 ) -> GridMatrix:
     """Remove an agent's own noise share from an averaged model.
 
     Returns ``federated - noise / active_count`` as a grid matrix, for a
     mean of n bodies (sum - Z) / n in integers, so a single client
-    recovers its clean weights bit for bit.
+    recovers its clean weights bit for bit.  ``noise`` is the grid matrix
+    Z (``ClientRound.noise``), or a float array on the grid, lifted.
     """
     if active_count < 1:
         raise ValueError(f"active_count must be >= 1, got {active_count}")
-    return to_exact(federated) - to_exact(noise) / active_count
+    if not isinstance(noise, GridMatrix):
+        noise = to_exact(noise)
+    return to_exact(federated) - noise / active_count
 
 
 def evaluate(w: np.ndarray | GridMatrix, test: Dataset) -> float:
@@ -270,7 +318,9 @@ class ClientRound(NamedTuple):
     snapped to the grid, and the noise on the grid (zero when none was
     added).  ``calibration`` is what the noise was drawn at (None when none
     was added); the retrain cache is reused only under the same calibration.
-    ``trained`` is False only when the retrain cache was reused.
+    ``trained`` is False only when the retrain cache was reused.  ``noise``
+    is the record as the grid matrix the body gained, which noise
+    subtraction takes without a lift.
     """
 
     weights: GridMatrix
@@ -278,6 +328,7 @@ class ClientRound(NamedTuple):
     trained: bool
     clean: np.ndarray
     calibration: Calibration | None
+    noise: GridMatrix | None = None
 
 
 def finish_round(
@@ -288,9 +339,11 @@ def finish_round(
     body = to_exact(trained)
     clean = to_float(body)
     if cal is None:
-        return ClientRound(body, np.zeros_like(clean), True, clean, None)
-    perturbed, noise = perturb_weights(body, cal, noise_rng)
-    return ClientRound(perturbed, noise, True, clean, cal)
+        zero = GridMatrix(np.zeros_like(body.total))
+        return ClientRound(body, np.zeros_like(clean), True, clean, None, zero)
+    perturbed, record = perturb_weights(body, cal, noise_rng)
+    # the body gained the noise's grid integers: they are its difference
+    return ClientRound(perturbed, record, True, clean, cal, perturbed - body)
 
 
 def client_round_retrain(

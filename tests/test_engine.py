@@ -27,7 +27,7 @@ from fedsim.engine import (
 from fedsim.dp import gamma_difference_share, laplace_sample
 from fedsim.exact import exact_mean, to_exact, to_float
 from fedsim.masking import GROUP_PRIME, CommonKey, DhKeyPair, dh_common_key, dh_generate
-from fedsim.models import sgd_train
+from fedsim.models import evaluate, sgd_train
 
 PAPER_LATENCIES = {
     "server_agent0": {"client_agent0": 0.3, "client_agent1": 2.0, "client_agent2": 0.1},
@@ -441,7 +441,7 @@ class TestNoiseSubtraction:
         replies = {
             c: sim.directory[c].produce_weights(requests[c], *trained[c]) for c in names
         }
-        records = {c: sim.directory[c]._records[1].copy() for c in names}
+        records = {c: sim.directory[c]._records[1] for c in names}
         fed = exact_mean([replies[c][0]["weights"] for c in sorted(names)])
         for c in names:
             sim.directory[c].receive_weights(
@@ -712,7 +712,7 @@ class TestServerlessMean:
             ):
                 body, ready = original(iteration, *trained)
                 sent[client.name] = body["weights"]
-                records[client.name] = client._records[iteration].copy()
+                records[client.name] = client._records[iteration]
                 return body, ready
 
             monkeypatch.setattr(client, "broadcast_weights", broadcast)
@@ -799,6 +799,41 @@ class TestRoundedMean:
             expected = to_float(calls[0])
             for c in sim.client_names:
                 assert np.array_equal(sim.directory[c].federated_weights, expected)
+
+
+class TestSharedEvaluation:
+    """Without noise subtraction every client takes the same model and test
+    set, so the round evaluates it once; with it, each client its own."""
+
+    @pytest.mark.parametrize("topology", ["centralized", "serverless"])
+    @pytest.mark.parametrize("subtract", [False, True])
+    def test_federated_model_evaluated_once_per_round(self, monkeypatch, topology, subtract):
+        kwargs = dict(
+            topology=topology,
+            use_dp_privacy=True,
+            subtract_dp_noise=subtract,
+            mechanism="distributed_laplace",
+            dp_placement="distributed",
+            epsilons=[1.0, 1.0, 1.0],
+        )
+        plain = make_simulation(**kwargs)
+        plain.offline_phase()
+        expected = [plain.run_round(i) for i in (1, 2)]
+        sim = make_simulation(**kwargs)
+        calls = []
+
+        def spy(w, test):
+            calls.append(w)
+            return evaluate(w, test)
+
+        monkeypatch.setattr(engine_module, "evaluate", spy)
+        sim.offline_phase()
+        for iteration in (1, 2):
+            calls.clear()
+            report = sim.run_round(iteration)
+            active = len(sim.client_names)
+            assert len(calls) == (2 * active if subtract else active + 1)
+            assert report == expected[iteration - 1]
 
 
 class TestAggregateFailure:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fedsim.models as models_module
 from fedsim.dp import Calibration
 from fedsim.exact import GRID_BITS, exact_mean, to_exact, to_float
 from fedsim.models import (
@@ -203,6 +204,40 @@ class TestSgdTrain:
                 job.data, job.init, cfg, np.random.default_rng(seed + 1 + j)
             )
             assert np.array_equal(out[j], expected)
+
+    @pytest.mark.parametrize(
+        "rows,batch_size,local_steps",
+        [
+            (10, 4, 7),  # a short last batch; the last pass stops after its first batch
+            (10, 5, 5),  # the last pass stops half way
+            (9, 3, 6),   # whole passes only
+            (6, 6, 4),   # batch_size equals rows: a draw every step
+            (5, 8, 3),   # batch_size above rows
+            (1, 1, 2),
+        ],
+    )
+    def test_cohort_leaves_each_stream_where_the_reference_does(
+        self, rows, batch_size, local_steps
+    ):
+        # a client's batch stream carries across rounds, so the kernel must
+        # draw exactly the permutations the reference draws, and no more
+        rng = np.random.default_rng(rows * 100 + batch_size)
+        cfg = TrainConfig(local_steps, 0.3, 0.05, batch_size)
+        cohort = [
+            TrainJob(Dataset(rng.standard_normal((rows, 2)), rng.integers(0, 3, rows)),
+                     rng.standard_normal((3, 3)), np.random.default_rng(50 + j))
+            for j in range(3)
+        ]
+        out = sgd_train_cohort(cohort, cfg)
+        for j, job in enumerate(cohort):
+            twin = np.random.default_rng(50 + j)
+            assert np.array_equal(out[j], reference_sgd(job.data, job.init, cfg, twin))
+            assert np.array_equal(job.rng.permutation(rows), twin.permutation(rows))
+            assert job.rng.random() == twin.random()
+        held = out + [job.init for job in cohort]
+        for a in range(len(held)):
+            for b in range(a + 1, len(held)):
+                assert not np.shares_memory(held[a], held[b])
 
     def test_cohort_rejects_unequal_row_counts(self):
         rng = np.random.default_rng(9)
@@ -433,6 +468,35 @@ class TestClientRoundIncremental:
             to_float(result.weights - to_exact(result.record)), result.clean
         )
         assert result.calibration == self.cal
+
+    def test_noise_is_the_record_on_the_grid(self):
+        trained = sgd_train(self.data, zero_weights(2, 2), self.cfg, np.random.default_rng(36))
+        for cal in (None, self.cal):
+            result = finish_round(trained, cal, np.random.default_rng(37))
+            assert result.noise.count == 1 and result.noise.total.dtype == np.int64
+            assert np.array_equal(result.noise.total, to_exact(result.record).total)
+            assert np.array_equal(
+                (result.weights - result.noise).total, to_exact(result.clean).total
+            )
+
+    def test_subtraction_takes_grid_noise_without_a_lift(self, monkeypatch):
+        result = finish_round(
+            sgd_train(self.data, zero_weights(2, 2), self.cfg, np.random.default_rng(38)),
+            self.cal, np.random.default_rng(39),
+        )
+        fed = exact_mean([result.weights, to_exact(np.ones((2, 3)))])
+        expected = subtract_own_noise(fed, result.record, 2)
+        lifted = []
+
+        def spy(values):
+            lifted.append(values)
+            return to_exact(values)
+
+        monkeypatch.setattr(models_module, "to_exact", spy)
+        got = subtract_own_noise(fed, result.noise, 2)
+        # only the federated mean passes through to_exact, unchanged
+        assert len(lifted) == 1 and lifted[0] is fed
+        assert got.count == expected.count and (got == expected).all()
 
 
 class TestClientRoundRetrain:
