@@ -321,9 +321,19 @@ def _check_across(c: SimConfig) -> None:
         for i, (epsilon, delta) in enumerate(zip(c.epsilons, c.deltas)):
             if delta <= 0 and epsilon is not None:
                 raise ConfigError(f"deltas[{i}]: gaussian mechanism requires delta > 0")
-    if c.data["kind"] == "synth" and c.data["rows"] < c.data["classes"]:
-        raise ConfigError(
-            f"data.rows: must be >= data.classes={c.data['classes']}, got {c.data['rows']}"
+    if c.data["kind"] == "synth":
+        rows = c.data["rows"]
+        _require(
+            rows >= c.data["classes"],
+            f"data.rows: must be >= data.classes={c.data['classes']}, got {rows}",
+        )
+        # a CSV source's row count is known only once it is read, so
+        # partition_dataset checks that one
+        need = c.test_size + sum(map(sum, c.dataset_sizes))
+        _require(
+            rows >= need,
+            f"data.rows: must be >= test_size + sum of dataset_sizes = {need}, "
+            f"got {rows}, short {need - rows}",
         )
     if c.simulate_latencies:
         from .engine import SERVER_NAME
@@ -378,7 +388,9 @@ def partition_dataset(
     """Carve a shuffled source into a shared test set and disjoint client shards.
 
     In cumulative mode each iteration's rows extend the previous
-    iteration's (nested sets); otherwise per-iteration sets are disjoint.
+    iteration's: every iteration's index array is a leading slice of the
+    client's last one, which lets ``materialize`` gather that client's rows
+    once.  Otherwise per-iteration sets are disjoint.
     """
     per_client_totals = [sum(per) for per in config.dataset_sizes]
     required = config.test_size + sum(per_client_totals)
@@ -408,15 +420,42 @@ def partition_dataset(
 
 
 def materialize(
-    source: Dataset, plan: PartitionPlan
+    source: Dataset, plan: PartitionPlan, order: np.ndarray | None = None
 ) -> tuple[list[list[Dataset]], Dataset]:
-    """Turn a partition plan into per-client per-iteration datasets + test set."""
-    client_datasets = [
-        [Dataset(source.features[rows], source.labels[rows]) for rows in per_client]
-        for per_client in plan.client_iteration_rows
-    ]
-    test_set = Dataset(source.features[plan.test_rows], source.labels[plan.test_rows])
-    return client_datasets, test_set
+    """Turn a partition plan into per-client per-iteration datasets + test set.
+
+    Plan rows index ``source`` or, when ``order`` is given, the shuffled
+    source whose row i is ``source`` row ``order[i]``.  A client whose
+    every iteration's rows lead its last iteration's rows (a cumulative
+    plan) has those last rows gathered once, and each iteration's dataset
+    is a leading slice of that one block; a client with disjoint
+    iterations gets one gather per iteration.  Every array returned is
+    read-only, so no round can change another round's rows.
+    """
+    def gather(rows: np.ndarray) -> Dataset:
+        if order is not None:
+            rows = order[rows]
+        features, labels = source.features[rows], source.labels[rows]
+        features.setflags(write=False)
+        labels.setflags(write=False)
+        return Dataset(features, labels)
+
+    client_datasets = []
+    for per_client in plan.client_iteration_rows:
+        if per_client and all(_leads(rows, per_client[-1]) for rows in per_client):
+            block = gather(per_client[-1])
+            client_datasets.append([
+                Dataset(block.features[: len(rows)], block.labels[: len(rows)])
+                for rows in per_client
+            ])
+        else:
+            client_datasets.append([gather(rows) for rows in per_client])
+    return client_datasets, gather(plan.test_rows)
+
+
+def _leads(rows: np.ndarray, last: np.ndarray) -> bool:
+    """Whether the index array ``rows`` is a leading slice of ``last``."""
+    return len(rows) <= len(last) and np.array_equal(rows, last[: len(rows)])
 
 
 def synth_dataset(
@@ -474,7 +513,8 @@ def _synth_blobs(
 def load_csv_dataset(path: str | Path, label_column: str) -> Dataset:
     """Load a rectangular numeric CSV with a header row.
 
-    All cells must parse as numbers; the label column must hold integers.
+    All cells must parse as finite numbers; the label column must hold
+    nonnegative integers.  An error names the offending ``path:line``.
     """
     path = Path(path)
     with open(path, newline="") as handle:
@@ -497,11 +537,15 @@ def load_csv_dataset(path: str | Path, label_column: str) -> Dataset:
                 values = [float(cell) for cell in row]
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: non-numeric cell") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{line_no}: non-finite cell")
             label = values.pop(label_idx)
             if label != int(label):
                 raise ValueError(
                     f"{path}:{line_no}: label {label} is not an integer"
                 )
+            if label < 0:
+                raise ValueError(f"{path}:{line_no}: label {int(label)} is negative")
             features.append(values)
             labels.append(int(label))
     if not features:
@@ -512,7 +556,8 @@ def load_csv_dataset(path: str | Path, label_column: str) -> Dataset:
 def build_inputs(
     config: SimConfig, base_dir: str | Path = "."
 ) -> tuple[list[list[Dataset]], Dataset]:
-    """Materialize the configured data source into engine-ready datasets."""
+    """Materialize the configured data source into engine-ready, read-only
+    datasets (see ``materialize``)."""
     if config.data["kind"] == "synth":
         source, order = _synth_blobs(
             classes=config.data["classes"],
@@ -528,16 +573,7 @@ def build_inputs(
     plan = partition_dataset(
         source, config, np.random.default_rng(np.random.SeedSequence(config.data_seed))
     )
-    if order is not None:
-        # row i of the shuffled synthetic source is row order[i] of ``source``
-        plan = PartitionPlan(
-            client_iteration_rows=[
-                [order[rows] for rows in per_client]
-                for per_client in plan.client_iteration_rows
-            ],
-            test_rows=order[plan.test_rows],
-        )
-    return materialize(source, plan)
+    return materialize(source, plan, order)
 
 
 def emit_reports(reports: list, out_dir: str | Path, config: SimConfig) -> None:

@@ -40,6 +40,16 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "data_seed" in capsys.readouterr().err
 
+    def test_short_synthetic_source_exits_1(self, tmp_path, capsys):
+        # the shipped example needs 1020 rows; run would find 520 missing
+        raw = json.loads((CONFIG_DIR / "example.json").read_text())
+        raw["data"]["rows"] = 500
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 1
+        assert "data.rows" in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+
     def test_unparsable_config_exits_1(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops")

@@ -67,6 +67,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"^data\.rows: must be >= data\.classes"):
             make_config(data=data)
 
+    def test_short_synthetic_source_rejected(self):
+        # 3 clients x 20 rows x 3 iterations + 60 test rows need 240
+        data = {"kind": "synth", "classes": 3, "features": 5, "rows": 239, "separation": 2.5}
+        with pytest.raises(ConfigError, match=r"^data\.rows: .* = 240, got 239, short 1$"):
+            make_config(data=data)
+        make_config(data=dict(data, rows=240))
+
     def test_dotted_top_level_key_rejected(self):
         raw = base_config_dict()
         raw["train.local_steps"] = raw["train"].pop("local_steps")
@@ -307,12 +314,13 @@ class TestReadmeSchema:
 
 class TestPartitionDataset:
     def test_shortfall_is_reported(self):
-        # 3 clients x 30 rows x 8 iterations + 0-row test floor needs 720
+        # 3 clients x 30 rows x 8 iterations + 1 test row needs 721; the
+        # config declares enough, the source handed over is 20 short
         config = make_config(
             num_iterations=8,
             dataset_sizes=[[30] * 8] * 3,
             test_size=1,
-            data={"kind": "synth", "classes": 3, "features": 5, "rows": 701,
+            data={"kind": "synth", "classes": 3, "features": 5, "rows": 721,
                   "separation": 1.0},
         )
         rng = np.random.default_rng(0)
@@ -459,6 +467,26 @@ class TestLoadCsvDataset:
         with pytest.raises(ValueError, match="no column named"):
             load_csv_dataset(path, "label")
 
+    @pytest.mark.parametrize("row", ["1.0,nan,0", "1.0,inf,1", "1.0,-inf,1"])
+    def test_non_finite_feature(self, tmp_path, row):
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,b,label\n1.0,2.0,0\n{row}\n")
+        with pytest.raises(ValueError, match=r"data\.csv:3: non-finite cell"):
+            load_csv_dataset(path, "label")
+
+    @pytest.mark.parametrize("label", ["inf", "nan"])
+    def test_non_finite_label(self, tmp_path, label):
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,label\n1.0,{label}\n")
+        with pytest.raises(ValueError, match=r"data\.csv:2: non-finite cell"):
+            load_csv_dataset(path, "label")
+
+    def test_negative_label(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,label\n1.0,0\n2.0,-1\n")
+        with pytest.raises(ValueError, match=r"data\.csv:3: label -1 is negative"):
+            load_csv_dataset(path, "label")
+
     def test_row_order_preserved(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,label\n9.0,1\n8.0,0\n7.0,1\n")
@@ -538,3 +566,56 @@ class TestBuildInputs:
         datasets, test_set = build_inputs(config, base_dir=tmp_path)
         assert len(test_set) == 60
         assert datasets[0][0].features.shape == (20, 5)
+
+    @pytest.mark.parametrize("cumulative", [False, True])
+    def test_arrays_are_read_only(self, cumulative):
+        config = make_config(
+            using_cumulative=cumulative, algorithm="retrain" if cumulative else "incremental"
+        )
+        datasets, test_set = build_inputs(config)
+        for ds in [test_set] + [ds for per_client in datasets for ds in per_client]:
+            with pytest.raises(ValueError, match="read-only"):
+                ds.features[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                ds.labels[0] = 0
+
+    def test_cumulative_rounds_share_one_block_per_client(self):
+        # the serverless_dp benchmark shape at 50 rounds: 10 clients of 40
+        # new rows per round, 50 features
+        clients, rounds, rows, features = 10, 50, 40, 50
+        config = make_config(
+            num_clients=clients, num_iterations=rounds, algorithm="retrain",
+            using_cumulative=True, epsilons=[None] * clients,
+            seeds=list(range(clients)), dataset_sizes=[[rows] * rounds] * clients,
+            test_size=300,
+            data={"kind": "synth", "classes": 10, "features": features,
+                  "rows": 300 + clients * rounds * rows, "separation": 2.0},
+        )
+        datasets, _ = build_inputs(config)
+        buffers = {}
+        for per_client in datasets:
+            last = per_client[-1]
+            for ds in per_client:
+                assert np.shares_memory(ds.features, last.features)
+                assert np.shares_memory(ds.labels, last.labels)
+                for array in (ds.features, ds.labels):
+                    owner = _owner(array)
+                    buffers[id(owner)] = owner.nbytes
+        # one block of 2000 rows x (50 features + 1 label) x 8 bytes per client
+        assert sum(buffers.values()) == clients * rounds * rows * (features + 1) * 8
+        assert sum(buffers.values()) == 8_160_000
+
+    def test_disjoint_rounds_are_separate_gathers(self):
+        datasets, _ = build_inputs(make_config())
+        for per_client in datasets:
+            for i, a in enumerate(per_client):
+                for b in per_client[i + 1 :]:
+                    assert not np.shares_memory(a.features, b.features)
+                    assert not np.shares_memory(a.labels, b.labels)
+
+
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The array that owns ``array``'s memory."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
