@@ -601,9 +601,8 @@ class TestBuildInputs:
                 for array in (ds.features, ds.labels):
                     owner = _owner(array)
                     buffers[id(owner)] = owner.nbytes
-        # one block of 2000 rows x (50 features + 1 label) x 8 bytes per client
-        assert sum(buffers.values()) == clients * rounds * rows * (features + 1) * 8
-        assert sum(buffers.values()) == 8_160_000
+        # one block per client: 2000 rows x (50 features + 1 label) x 8 bytes
+        assert sum(buffers.values()) == 10 * 2000 * 51 * 8 == 8_160_000
 
     def test_disjoint_rounds_are_separate_gathers(self):
         datasets, _ = build_inputs(make_config())
