@@ -36,8 +36,8 @@ from .engine import (
 from .exact import exact_mean, to_exact, to_float
 from .masking import (
     CommonKey,
-    DhKeyPair,
     MaskSchedule,
+    SecureAggregation,
     apply_masks,
     dh_common_key,
     dh_generate,

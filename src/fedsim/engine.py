@@ -1,13 +1,14 @@
 """Agent framework and simulation lifecycle.
 
 A simulation builds client agents (and, in the centralized topology, one
-server agent) and drives them through an offline key exchange followed by
-numbered iterations.  In the exchange every client sends its public value
-to every peer, n(n - 1) messages; each pair's common key is derived once,
-by the end whose name sorts first, and handed to the other end, which
-checks the peer's public value and table itself (see ``masking``).
-Aggregation runs on the host, and a failure there, like a failure in an
-agent step, is a ``SimulationError`` naming the agents and the iteration.
+server agent) and drives them through an offline phase followed by
+numbered iterations.  With security on, the offline phase runs the setup
+of ``masking.SecureAggregation``: the engine delivers the ``public_key``
+bodies the protocol returns, n(n - 1) messages, and runs each client's
+steps as that client's at iteration 0; clients then mask through the
+protocol object.  Aggregation runs on the host, and a failure there, like
+a failure in an agent step, is a ``SimulationError`` naming the agents
+and the iteration.
 All timing is simulated: every message carries a
 ``sim_time`` stamp computed from declared latencies and compute durations,
 never from the wall clock, and each iteration's clock restarts at zero.
@@ -34,7 +35,7 @@ Message bodies use a closed set of kinds:
 ===================  ========================================
 kind                 body keys
 ===================  ========================================
-``public_key``       ``value`` (int), ``powers`` (its power table)
+``public_key``       ``value`` (int)
 ``weights_request``  none
 ``weights``          ``weights`` (matrix)
 ``federated_weights``  ``weights`` (matrix)
@@ -52,7 +53,7 @@ import numpy as np
 
 from .dp import Calibration, calibrate, perturb_weights
 from .exact import GridMatrix, check_bound, exact_mean, to_float
-from .masking import CommonKey, MaskSchedule, apply_masks, dh_check, dh_common_key, dh_generate
+from .masking import ProtocolError, SecureAggregation
 from .models import (
     ClientRound,
     Dataset,
@@ -71,10 +72,6 @@ SERVER_NAME = "server_agent0"
 Sent = tuple[dict[str, Any], float]  # a body and the time its sender has it
 Accepted = tuple[EvalReport, float, bool]  # evaluation, receipt time, converged
 Shared = tuple[np.ndarray, float]  # the round's model rounded once, and its accuracy
-
-
-class ProtocolError(RuntimeError):
-    """An agent was driven outside the lifecycle contract."""
 
 
 class SimulationError(RuntimeError):
@@ -169,7 +166,7 @@ def _charged(configured: float | None, started: float, earlier: float = 0.0) -> 
 
 
 class ClientAgent:
-    """A training participant: owns data, weights, noise records and keys.
+    """A training participant: owns data, weights and noise records.
 
     Names follow the ``client_agent<k>`` pattern, where ``k`` is the
     client's ``index`` in the configuration.  Every setting is read from
@@ -179,9 +176,11 @@ class ClientAgent:
     Each round it asks ``dp.calibrate`` whether and at what calibration it
     adds noise, over its own view of the active set, and the retrain
     cache is keyed on that calibration.
-    Each client derives three independent child streams from its seed
-    (training batches, DP noise, key generation) so that toggling one
-    feature never perturbs the random sequence of another.
+    The client's seed gives independent child streams, so that toggling one
+    feature never perturbs the random sequence of another: training batches
+    and DP noise come from the first two, and with security on ``secagg``,
+    the simulation's protocol object, draws the key pair from the third and
+    masks every body the client sends.
     """
 
     def __init__(
@@ -193,12 +192,14 @@ class ClientAgent:
         test_set: Dataset,
         n_classes: int,
         size_schedule: Mapping[str, list[int]],
+        secagg: SecureAggregation | None,
     ):
         self.name = name
         self.config = config
         self.datasets = datasets
         self.test_set = test_set
         self.size_schedule = size_schedule
+        self.secagg = secagg
 
         n_features = test_set.features.shape[1]
         self.active = True
@@ -206,14 +207,9 @@ class ClientAgent:
         self.federated_weights = zero_weights(n_classes, n_features)
 
         seq = np.random.SeedSequence(config.seeds[index])
-        train_seq, noise_seq, key_seq = seq.spawn(3)
+        train_seq, noise_seq = seq.spawn(2)
         self._train_rng = np.random.default_rng(train_seq)
         self._noise_rng = np.random.default_rng(noise_seq)
-        self._key_rng = np.random.default_rng(key_seq)
-
-        self._keypair = None
-        self._peer_publics: dict[str, tuple[int, tuple[int, ...]]] = {}
-        self.schedule: MaskSchedule | None = None
 
         self._clean: dict[int, np.ndarray] = {}
         self._records: dict[int, GridMatrix] = {}
@@ -222,72 +218,11 @@ class ClientAgent:
         self._compute: dict[int, float] = {}
         self._peer_buffer: dict[int, dict[str, Envelope]] = {}
 
-    # -- offline phase ----------------------------------------------------
+    # -- online phase ----------------------------------------------------
 
     def sync_active_view(self, active: list[str]) -> None:
         """Reset this client's view of the active set (sorted by name)."""
         self.active_view = sorted(active)
-
-    def generate_keys(self) -> None:
-        self._keypair = dh_generate(self._key_rng)
-
-    def public_key(self) -> dict[str, Any]:
-        """Our public value and its power table, the body sent to every peer."""
-        if self._keypair is None:
-            raise ProtocolError(f"{self.name} has no key pair to send")
-        return {
-            "kind": "public_key",
-            "value": self._keypair.public,
-            "powers": self._keypair.powers,
-        }
-
-    def receive_pubkey(self, env: Envelope) -> None:
-        if env.sender in self._peer_publics:
-            raise ProtocolError(f"duplicate public key from {env.sender!r}")
-        self._peer_publics[env.sender] = (env.body["value"], env.body["powers"])
-
-    def initialize_common_keys(self, handed: Mapping[str, CommonKey]) -> dict[str, CommonKey]:
-        """Agree one common key with every peer that sent a public value,
-        then drop the key pair and the peers' public values: nothing reads
-        them after the agreement.
-
-        Of each pair, the end whose name sorts first derives the key.  This
-        client derives the keys of the peers that sort after it, from its
-        secret and their tables, and returns them for the simulation to
-        hand over.  ``handed`` holds the keys that the peers sorting before
-        it derived; each must name exactly that pair.  The public value and
-        table of every peer are checked at this end either way.
-        """
-        if self._keypair is None:
-            raise ProtocolError(f"{self.name} has no key pair")
-        missing = set(self.active_view) - {self.name} - set(self._peer_publics)
-        if missing:
-            raise ProtocolError(f"missing public keys from {sorted(missing)}")
-        earlier = sorted(peer for peer in self._peer_publics if peer < self.name)
-        if sorted(handed) != earlier:
-            raise ProtocolError(
-                f"{self.name} was handed common keys for {sorted(handed)}, not {earlier}"
-            )
-        keys, derived = {}, {}
-        for peer, (public, powers) in self._peer_publics.items():
-            if peer < self.name:
-                dh_check(self._keypair, public, powers)
-                keys[peer] = handed[peer]
-                if keys[peer].pair != (peer, self.name):
-                    raise ProtocolError(
-                        f"{self.name} was handed a common key for {keys[peer].pair}, "
-                        f"not {(peer, self.name)}"
-                    )
-            else:
-                keys[peer] = derived[peer] = dh_common_key(
-                    self._keypair, public, (self.name, peer), powers=powers
-                )
-        self.schedule = MaskSchedule(owner=self.name, keys=keys)
-        self._keypair = None
-        self._peer_publics = {}
-        return derived
-
-    # -- online phase ----------------------------------------------------
 
     def training_job(self, iteration: int) -> TrainJob | None:
         """Open this iteration's round: calibrate over the active view and
@@ -331,12 +266,9 @@ class ClientAgent:
             self._cache = result
         self._clean[iteration] = result.clean
         self._records[iteration] = result.noise
-        if cfg.use_security:
-            if self.schedule is None:
-                raise ProtocolError(f"{self.name} has no mask schedule")
-            outgoing = apply_masks(result.weights, self.schedule, self.active_view, iteration)
-        else:
-            outgoing = result.weights
+        outgoing = result.weights
+        if self.secagg is not None:
+            outgoing = self.secagg.mask(self.name, outgoing, self.active_view, iteration)
         duration = _charged(cfg.client_compute_s, started, opened.seconds + seconds)
         self._compute[iteration] = duration
         return {"kind": "weights", "weights": outgoing}, duration
@@ -505,10 +437,13 @@ class Simulation:
             for i, name in enumerate(names)
         }
 
+        seeds = dict(zip(names, config.seeds))
+        self.secagg = SecureAggregation(seeds) if config.use_security else None
         self.directory: dict[str, Any] = {}
         for i, name in enumerate(names):
             self.directory[name] = ClientAgent(
-                name, i, config, client_datasets[i], test_set, n_classes, size_schedule
+                name, i, config, client_datasets[i], test_set, n_classes, size_schedule,
+                self.secagg,
             )
         self.server: ServerAgent | None = None
         if config.topology == "centralized":
@@ -583,31 +518,18 @@ class Simulation:
     # -- lifecycle ---------------------------------------------------------
 
     def offline_phase(self) -> None:
-        """Diffie-Hellman exchange: after it, every client holds a common
-        key for every other client and no further client-client
-        communication is needed.
-
-        Every client sends its public value to every peer: n(n - 1)
-        messages.  The clients then agree in name order.  Each derives the
-        keys it shares with the peers that sort after it, and each of those
-        keys is handed to its peer, so every pair's key is derived once.
-        """
-        if not self.config.use_security:
+        """Set up secure aggregation, if the run uses it: send each client's
+        public value to every peer, n(n - 1) messages, then let each client
+        agree in name order, every step as its client's own at iteration 0."""
+        secagg = self.secagg
+        if secagg is None:
             return
-        clients = [self.directory[name] for name in self.client_names]
-        for client in clients:
-            self._invoke(client.name, 0, client.generate_keys)
-        for client in clients:
-            body = client.public_key()
-            for peer in self.client_names:
-                if peer != client.name:
-                    self._send(client.name, peer, 0, body, 0.0, "receive_pubkey")
-        handed: dict[str, dict[str, CommonKey]] = {name: {} for name in self.client_names}
-        for name in sorted(self.client_names):
-            agree = self.directory[name].initialize_common_keys
-            derived = self._invoke(name, 0, agree, handed.pop(name))
-            for peer, key in derived.items():
-                handed[peer][name] = key
+        for name in secagg.names:
+            body, peers = self._invoke(name, 0, secagg.advertise, name)
+            for peer in peers:
+                self._invoke(peer, 0, secagg.receive, self._send(name, peer, 0, body, 0.0))
+        for name in secagg.names:
+            self._invoke(name, 0, secagg.agree, name)
 
     def run_round(self, iteration: int, active: list[str] | None = None) -> IterationReport:
         """Drive one full iteration against the given (or current) active set:

@@ -1,12 +1,17 @@
-"""One-shot Diffie-Hellman key agreement and cancelling mask schedules.
+"""Secure aggregation by pairwise masks: key agreement and mask schedules.
 
-Clients agree on pairwise common keys once, offline, in the 2048-bit MODP
-group 14 of RFC 3526.  Its prime is safe, p = 2q + 1 with q prime, and the
-generator 2 has order q.  Secrets are short exponents of ``SECRET_BITS``
-bits, inside the 220-320-bit range RFC 3526 section 8 gives for this group:
-p - 1 = 2q has no small factor for the short-exponent attacks of van
-Oorschot and Wiener to use, and Pollard's lambda method needs about
-2^(SECRET_BITS / 2) steps, more than the ~110-bit strength of the group.
+``SecureAggregation`` is the whole protocol over the complete graph of
+clients, in the shape of Bonawitz et al., *Practical Secure Aggregation*
+(CCS 2017, section 4): an offline setup whose messages the engine
+delivers, then a pairwise mask on every body a client sends.
+
+Clients agree in the 2048-bit MODP group 14 of RFC 3526.  Its prime is
+safe, p = 2q + 1 with q prime, and the generator 2 has order q.  Secrets
+are short exponents of ``SECRET_BITS`` bits, inside the 220-320-bit range
+RFC 3526 section 8 gives for this group: p - 1 = 2q has no small factor
+for the short-exponent attacks of van Oorschot and Wiener to use, and
+Pollard's lambda method needs about 2^(SECRET_BITS / 2) steps, more than
+the ~110-bit strength of the group.
 
 Every exponentiation is fixed-base (Yao's method, Brickell, Gordon,
 McCurley & Wilson, EUROCRYPT '92; HAC Algorithm 14.109): the base's table
@@ -14,30 +19,23 @@ McCurley & Wilson, EUROCRYPT '92; HAC Algorithm 14.109): the base's table
 about 80 modular multiplications instead of the ~300 of square-and-multiply.
 A table costs ``SECRET_BITS - 4`` squarings, about one plain exponentiation,
 so it pays only for a base raised more than once.  The generator's table is
-a group constant built at import.  Each client builds the table of its own
-public value in ``dh_generate`` and sends it with the value, so a peer
-that raises the value pays only the cheap half.
+a group constant built at import.  The table of a peer's public value is
+built by the host from the value alone, once per value, in a memo that
+``dh_common_key`` shares across the offline phase: n - 1 tables at n
+clients, as the value of the first-sorting client is never raised.
 
 Both ends of a pair would hash the same g^(ab), so only one derives it: of
 the pair's two names, the end whose name sorts first calls
-``dh_common_key`` with its own secret and the peer's table, and the host
-hands the resulting ``CommonKey`` to the other end.  That halves the
-offline phase's exponentiations, n(n - 1)/2 instead of n(n - 1); every
-client still sends its public value and table to every peer.  Each end
-runs ``dh_check`` on each public value and table it received (the deriving
-end through ``dh_common_key``): its own secret must not be a multiple of q
-and must lie in [2, 2**SECRET_BITS), the peer's public value must lie in
-(1, p - 1), and the peer's table must be TABLE_SIZE long and start with
-that value.  The deriving end also refuses a shared value of 1 or p - 1,
+``dh_common_key`` with its own secret and the peer's value, and the
+protocol hands the resulting ``CommonKey`` to the other end.  That halves
+the offline phase's exponentiations, n(n - 1)/2 instead of n(n - 1);
+every client still sends its public value to every peer.  Each end runs
+``dh_check`` on each public value it received (the deriving end through
+``dh_common_key``): its own secret must not be a multiple of q and must
+lie in [2, 2**SECRET_BITS), and the peer's public value must lie in
+(1, p - 1).  The deriving end also refuses a shared value of 1 or p - 1,
 the elements of the only small subgroup (order 2).  The shared value is
 hashed to a 256-bit key.
-
-The entries of a peer's table after the first are trusted like the rest
-of its messages: the simulator models honest-but-curious clients.  A wrong
-table sent to the deriving end gives both ends the same key, which is not
-g^(ab), so the masks still cancel and nothing in a run detects it.
-Against clients that are not honest a forged table could probe digits of
-the deriving end's secret; such a deployment must build peer tables itself.
 
 For every later iteration each pair derives an identical mask tensor from
 one SHAKE-256 stream of key || iteration, one uniform 64-bit word per
@@ -54,7 +52,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -128,18 +127,16 @@ def fixed_base_pow(powers: tuple[int, ...], exponent: int) -> int:
 _GENERATOR_POWERS = power_table(GROUP_GENERATOR)
 
 
+class ProtocolError(RuntimeError):
+    """An agent was driven outside the lifecycle contract."""
+
+
 @dataclass(frozen=True)
 class DhKeyPair:
-    """A Diffie-Hellman secret, its public value g^secret mod p and the
-    public value's ``power_table``, which travels with the value to peers.
-
-    ``dh_generate`` always fills ``powers``; only a pair that never sends
-    its public value may leave it empty.
-    """
+    """A Diffie-Hellman secret and its public value g^secret mod p."""
 
     secret: int
     public: int
-    powers: tuple[int, ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -171,22 +168,19 @@ class MaskSchedule:
 
 
 def dh_generate(rng: np.random.Generator) -> DhKeyPair:
-    """Generate a key pair with the secret uniform over [2, 2**SECRET_BITS),
-    and the power table of its public value."""
+    """Generate a key pair with the secret uniform over [2, 2**SECRET_BITS)."""
     while True:
         secret = int.from_bytes(rng.bytes(SECRET_BITS // 8), "big")
         if secret >= 2:
             break
-    public = fixed_base_pow(_GENERATOR_POWERS, secret)
-    return DhKeyPair(secret=secret, public=public, powers=power_table(public))
+    return DhKeyPair(secret=secret, public=fixed_base_pow(_GENERATOR_POWERS, secret))
 
 
-def dh_check(own: DhKeyPair, other_public: int, powers: tuple[int, ...]) -> None:
+def dh_check(own: DhKeyPair, other_public: int) -> None:
     """Check our side of an agreement with a peer without deriving the key.
 
     Raises ValueError for a secret that is a multiple of q or outside
-    [2, 2**SECRET_BITS), a public value outside (1, p-1), and a table that
-    is not TABLE_SIZE long or does not start with the public value.
+    [2, 2**SECRET_BITS) and for a public value outside (1, p-1).
     """
     # The group has order 2q, and only 1 and p-1 have order 1 or 2, so every
     # y in (1, p-1) has order q or 2q.  y^s is 1 or p-1 exactly when
@@ -197,28 +191,28 @@ def dh_check(own: DhKeyPair, other_public: int, powers: tuple[int, ...]) -> None
         raise ValueError("own secret outside [2, 2**SECRET_BITS)")
     if not 1 < other_public < GROUP_PRIME - 1:
         raise ValueError("peer public value outside the valid group range")
-    if len(powers) != TABLE_SIZE:
-        raise ValueError(f"peer power table has {len(powers)} entries, not {TABLE_SIZE}")
-    if powers[0] != other_public:
-        raise ValueError("peer power table does not start with its public value")
 
 
 def dh_common_key(
     own: DhKeyPair,
     other_public: int,
     pair: tuple[str, str] = ("", ""),
-    *,
-    powers: tuple[int, ...] = (),
+    tables: dict[int, tuple[int, ...]] | None = None,
 ) -> CommonKey:
-    """Derive the shared 256-bit key from our secret and a peer's public
-    value, exponentiating over ``powers``, the peer's table of its value.
+    """Derive the shared 256-bit key from our secret and a peer's public value.
 
-    Symmetric by construction: both endpoints would hash the same
-    g^(a*b) mod p, so one derivation per pair serves both.  Raises
-    ValueError where ``dh_check`` does and for a degenerate shared value
-    (outside (1, p-1)).
+    The power is fixed-base over the value's ``power_table``, taken from
+    ``tables``, a memo keyed by value, or built into it on first use;
+    without a memo the table serves this call alone.  Symmetric by
+    construction: both endpoints would hash the same g^(a*b) mod p, so one
+    derivation per pair serves both.  Raises ValueError where ``dh_check``
+    does and for a degenerate shared value (outside (1, p-1)).
     """
-    dh_check(own, other_public, powers)
+    dh_check(own, other_public)
+    tables = {} if tables is None else tables
+    powers = tables.get(other_public)
+    if powers is None:
+        powers = tables[other_public] = power_table(other_public)
     shared = fixed_base_pow(powers, own.secret)
     if not 1 < shared < GROUP_PRIME - 1:
         raise ValueError("degenerate shared value: key agreement yields no secret")
@@ -273,3 +267,85 @@ def apply_masks(
         else:
             words -= mask
     return GridMatrix(words.view(np.int64))
+
+
+class SecureAggregation:
+    """Pairwise-mask secure aggregation for the clients named in ``seeds``.
+
+    Offline, each client ``advertise``s its public value, the engine hands
+    every delivered ``public_key`` envelope to ``receive``, and each client
+    ``agree``s, in name order; ``schedules`` then holds its mask schedule.
+    A client's key pair is drawn, in ``advertise``, from the third child
+    stream of its seed (the client spawns the first two).
+    """
+
+    def __init__(self, seeds: Mapping[str, int]):
+        self.names = sorted(seeds)
+        self._seeds = dict(seeds)
+        self._keypairs: dict[str, DhKeyPair] = {}
+        self._received: dict[str, dict[str, int]] = {name: {} for name in self.names}
+        self._handed: dict[str, dict[str, CommonKey]] = {name: {} for name in self.names}
+        self._tables: dict[int, tuple[int, ...]] = {}
+        self.schedules: dict[str, MaskSchedule] = {}
+
+    def advertise(self, client: str) -> tuple[dict[str, Any], list[str]]:
+        """Generate ``client``'s key pair; return its ``public_key`` body,
+        which carries the public value only, and the peers to send it to."""
+        if client in self._keypairs or client in self.schedules:
+            raise ProtocolError(f"{client} already advertised its public value")
+        key_stream = np.random.SeedSequence(self._seeds[client], spawn_key=(2,))
+        keypair = self._keypairs[client] = dh_generate(np.random.default_rng(key_stream))
+        peers = [peer for peer in self.names if peer != client]
+        return {"kind": "public_key", "value": keypair.public}, peers
+
+    def receive(self, env: Any) -> None:
+        """Hold a delivered ``public_key`` envelope's value for its recipient."""
+        received = self._received[env.recipient]
+        if env.sender in received:
+            raise ProtocolError(f"{env.recipient} got a duplicate public key from {env.sender!r}")
+        received[env.sender] = env.body["value"]
+
+    def agree(self, client: str) -> None:
+        """Fix ``client``'s common key with every peer, then drop its key
+        pair and the peers' values (and, after the last client, the tables).
+
+        ``client`` derives the keys of the peers that sort after it and
+        hands them over; it takes the keys handed by the peers that sort
+        before it, each naming exactly that pair, and checks their values.
+        """
+        keypair = self._keypairs.pop(client, None)
+        if keypair is None:
+            raise ProtocolError(f"{client} has no key pair")
+        received, handed = self._received.pop(client), self._handed.pop(client)
+        missing = set(self.names) - {client} - set(received)
+        if missing:
+            raise ProtocolError(f"{client} is missing public keys from {sorted(missing)}")
+        earlier = sorted(peer for peer in received if peer < client)
+        if sorted(handed) != earlier:
+            raise ProtocolError(
+                f"{client} was handed common keys for {sorted(handed)}, not {earlier}"
+            )
+        keys = {}
+        for peer, public in received.items():
+            if peer < client:
+                dh_check(keypair, public)
+                keys[peer] = handed[peer]
+                if keys[peer].pair != (peer, client):
+                    raise ProtocolError(
+                        f"{client} was handed a common key for {keys[peer].pair}, "
+                        f"not {(peer, client)}"
+                    )
+            else:
+                keys[peer] = dh_common_key(keypair, public, (client, peer), self._tables)
+                self._handed[peer][client] = keys[peer]
+        self.schedules[client] = MaskSchedule(owner=client, keys=keys)
+        if not self._keypairs:
+            self._tables = {}
+
+    def mask(self, client: str, body: GridMatrix, view: list[str], iteration: int) -> GridMatrix:
+        """``client``'s body with its signed pairwise masks toward the other
+        clients of its active ``view`` (see ``apply_masks``)."""
+        schedule = self.schedules.get(client)
+        if schedule is None:
+            raise ProtocolError(f"{client} has no mask schedule for iteration {iteration}")
+        return apply_masks(body, schedule, view, iteration)

@@ -71,12 +71,7 @@ def test_c02_mask_cancellation_oracle():
                 a: MaskSchedule(
                     owner=a,
                     keys={
-                        b: dh_common_key(
-                            keypairs[a],
-                            keypairs[b].public,
-                            (a, b),
-                            powers=keypairs[b].powers,
-                        )
+                        b: dh_common_key(keypairs[a], keypairs[b].public, (a, b))
                         for b in names
                         if b != a
                     },

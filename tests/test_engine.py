@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fedsim.engine as engine_module
+import fedsim.masking as masking_module
 from conftest import (
     base_config_dict,
     make_simulation,
@@ -26,7 +27,13 @@ from fedsim.engine import (
 )
 from fedsim.dp import gamma_difference_share, laplace_sample
 from fedsim.exact import exact_mean, to_exact, to_float
-from fedsim.masking import GROUP_PRIME, CommonKey, DhKeyPair, dh_common_key, dh_generate
+from fedsim.masking import (
+    GROUP_PRIME,
+    CommonKey,
+    dh_common_key,
+    dh_generate,
+    power_table,
+)
 from fedsim.models import evaluate, sgd_train
 
 PAPER_LATENCIES = {
@@ -68,7 +75,7 @@ class TestOfflinePhase:
         )
         sim.offline_phase()
         assert sim.counters.offline_client_client == 0
-        assert sim.directory["client_agent0"].schedule.keys == {}
+        assert sim.secagg.schedules["client_agent0"].keys == {}
 
     def test_endpoints_hold_equal_key_material(self):
         sim = make_simulation(use_security=True)
@@ -76,27 +83,34 @@ class TestOfflinePhase:
         names = sim.client_names
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
-                key_ab = sim.directory[a].schedule.key_for(b)
-                key_ba = sim.directory[b].schedule.key_for(a)
+                key_ab = sim.secagg.schedules[a].key_for(b)
+                key_ba = sim.secagg.schedules[b].key_for(a)
                 assert key_ab.key_material == key_ba.key_material
 
     def test_skipped_when_security_disabled(self):
         sim = make_simulation(use_security=False)
+        assert sim.secagg is None
         sim.offline_phase()
         assert sim.counters.offline_client_client == 0
 
-    def test_rejected_public_value_names_client_and_iteration(self):
-        sim = make_simulation(use_security=True)
-        victim = sim.directory["client_agent2"]
-        receive = victim.receive_pubkey
+    @staticmethod
+    def _forge(sim, victim, sender, forge):
+        """Make ``victim`` receive ``sender``'s public-key body as ``forge`` rewrites it."""
+        receive = sim.secagg.receive
 
         def receive_forged(env):
-            if env.sender == "client_agent0":
-                body = {**env.body, "value": GROUP_PRIME - 1}
-                env = Envelope(env.sender, env.recipient, 0, body, env.sim_time)
+            if env.recipient == victim and env.sender == sender:
+                env = Envelope(env.sender, env.recipient, 0, forge(env.body), env.sim_time)
             receive(env)
 
-        victim.receive_pubkey = receive_forged
+        sim.secagg.receive = receive_forged
+
+    def test_rejected_public_value_names_client_and_iteration(self):
+        # client_agent2 takes the pair's key from client_agent0, but checks its value
+        sim = make_simulation(use_security=True)
+        self._forge(
+            sim, "client_agent2", "client_agent0", lambda body: {**body, "value": GROUP_PRIME - 1}
+        )
         with pytest.raises(
             SimulationError, match="'client_agent2' failed during iteration 0"
         ):
@@ -104,6 +118,7 @@ class TestOfflinePhase:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_each_pair_derived_once(self, monkeypatch, n):
+        # one derivation per pair, one table per raised value, value-only bodies
         sim = make_simulation(
             use_security=True,
             num_clients=n,
@@ -111,32 +126,33 @@ class TestOfflinePhase:
             seeds=list(range(1, n + 1)),
             dataset_sizes=[[20, 20, 20]] * n,
         )
-        pairs = []
+        pairs, tables, bodies = [], [], []
 
-        def spy(own, other_public, pair=("", ""), **kwargs):
+        def derive_spy(own, other_public, pair=("", ""), tables=None):
             pairs.append(pair)
-            return dh_common_key(own, other_public, pair, **kwargs)
+            return dh_common_key(own, other_public, pair, tables)
 
-        monkeypatch.setattr(engine_module, "dh_common_key", spy)
+        def table_spy(base):
+            tables.append(base)
+            return power_table(base)
+
+        receive = sim.secagg.receive
+
+        def receive_spy(env):
+            bodies.append(env.body)
+            receive(env)
+
+        monkeypatch.setattr(masking_module, "dh_common_key", derive_spy)
+        monkeypatch.setattr(masking_module, "power_table", table_spy)
+        sim.secagg.receive = receive_spy
         sim.offline_phase()
         assert len(pairs) == n * (n - 1) // 2
         assert sorted(pairs) == [
             (a, b) for a in sim.client_names for b in sim.client_names if a < b
         ]
-        assert sim.counters.offline_client_client == n * (n - 1)
-
-    @staticmethod
-    def _forge(sim, victim, sender, forge):
-        """Make ``victim`` receive ``sender``'s public-key body as ``forge`` rewrites it."""
-        client = sim.directory[victim]
-        receive = client.receive_pubkey
-
-        def receive_forged(env):
-            if env.sender == sender:
-                env = Envelope(env.sender, env.recipient, 0, forge(env.body), env.sim_time)
-            receive(env)
-
-        client.receive_pubkey = receive_forged
+        assert len(tables) == n - 1
+        assert len(bodies) == sim.counters.offline_client_client == n * (n - 1)
+        assert all(set(body) == {"kind", "value"} for body in bodies)
 
     def test_rejected_public_value_at_deriving_end(self):
         # client_agent0 derives the pair's key from client_agent2's value
@@ -149,26 +165,6 @@ class TestOfflinePhase:
         ):
             sim.offline_phase()
 
-    @pytest.mark.parametrize(
-        "forge, message",
-        [
-            (lambda powers: powers[:-1], "table has 63 entries"),
-            (lambda powers: (powers[1],) + powers[1:], "does not start with"),
-        ],
-        ids=["length", "first_entry"],
-    )
-    def test_forged_table_names_non_deriving_end(self, forge, message):
-        # client_agent2 never raises client_agent0's table, but still checks it
-        sim = make_simulation(use_security=True)
-        self._forge(
-            sim, "client_agent2", "client_agent0",
-            lambda body: {**body, "powers": forge(body["powers"])},
-        )
-        with pytest.raises(
-            SimulationError, match=f"'client_agent2' failed during iteration 0: .*{message}"
-        ):
-            sim.offline_phase()
-
     def test_key_material_equals_independent_derivation(self, monkeypatch):
         sim = make_simulation(use_security=True)
         keypairs = []
@@ -177,64 +173,83 @@ class TestOfflinePhase:
             keypairs.append(dh_generate(rng))
             return keypairs[-1]
 
-        monkeypatch.setattr(engine_module, "dh_generate", spy)
+        monkeypatch.setattr(masking_module, "dh_generate", spy)
         sim.offline_phase()
         own = dict(zip(sim.client_names, keypairs))
         for a in sim.client_names:
             for b in sim.client_names:
                 if a < b:
-                    k_ab = dh_common_key(own[a], own[b].public, (a, b), powers=own[b].powers)
-                    k_ba = dh_common_key(own[b], own[a].public, (b, a), powers=own[a].powers)
+                    k_ab = dh_common_key(own[a], own[b].public, (a, b))
+                    k_ba = dh_common_key(own[b], own[a].public, (b, a))
                     assert k_ab == k_ba
-                    assert sim.directory[a].schedule.key_for(b) == k_ab
-                    assert sim.directory[b].schedule.key_for(a) == k_ab
+                    assert sim.secagg.schedules[a].key_for(b) == k_ab
+                    assert sim.secagg.schedules[b].key_for(a) == k_ab
 
-    @pytest.mark.parametrize(
-        "tamper, message",
-        [
-            (lambda keys: {}, r"was handed common keys for \[\], not \['client_agent0'\]"),
-            (
-                lambda keys: {
-                    "client_agent1": CommonKey(
-                        ("client_agent0", "client_agent2"),
-                        keys["client_agent1"].key_material,
-                    ),
-                    "client_agent2": keys["client_agent2"],
-                },
-                r"was handed a common key for \('client_agent0', 'client_agent2'\)",
-            ),
-        ],
-        ids=["missing", "wrong_pair"],
-    )
-    def test_handed_key_must_name_the_pair(self, tamper, message):
+    @pytest.mark.parametrize("tamper", ["missing", "wrong_pair"])
+    def test_handed_key_must_name_the_pair(self, monkeypatch, tamper):
         sim = make_simulation(use_security=True)
-        deriver = sim.directory["client_agent0"]
-        agree = deriver.initialize_common_keys
-        deriver.initialize_common_keys = lambda handed: tamper(agree(handed))
+        if tamper == "missing":
+            # client_agent0 never agrees, so it hands client_agent1 nothing
+            agree = sim.secagg.agree
+            monkeypatch.setattr(
+                sim.secagg, "agree", lambda name: None if name == "client_agent0" else agree(name)
+            )
+            message = r"was handed common keys for \[\], not \['client_agent0'\]"
+        else:
+            def derive(own, other_public, pair=("", ""), tables=None):
+                key = dh_common_key(own, other_public, pair, tables)
+                if key.pair == ("client_agent0", "client_agent1"):
+                    key = CommonKey(("client_agent0", "client_agent2"), key.key_material)
+                return key
+
+            monkeypatch.setattr(masking_module, "dh_common_key", derive)
+            message = r"was handed a common key for \('client_agent0', 'client_agent2'\)"
         with pytest.raises(ProtocolError, match=f"client_agent1 {message}"):
             sim.offline_phase()
 
     def test_public_key_sent_only_after_generation(self):
+        # advertising generates the key pair before it returns the body
         sim = make_simulation(use_security=True)
-        with pytest.raises(ProtocolError, match="no key pair"):
-            sim.directory["client_agent0"].public_key()
+        with pytest.raises(ProtocolError, match="client_agent0 has no key pair"):
+            sim.secagg.agree("client_agent0")
+        body, peers = sim.secagg.advertise("client_agent0")
+        assert set(body) == {"kind", "value"} and body["kind"] == "public_key"
+        assert peers == ["client_agent1", "client_agent2"]
+        with pytest.raises(ProtocolError, match="client_agent0 is missing public keys"):
+            sim.secagg.agree("client_agent0")
 
     def test_key_material_dropped_after_agreement(self):
         sim = make_simulation(use_security=True)
         sim.offline_phase()
+        # key pairs, peer values, handed keys and power tables are all gone
+        kept = ("names", "_seeds", "schedules")
+        leftover = {k: v for k, v in vars(sim.secagg).items() if k not in kept}
+        assert not any(leftover.values()), leftover
         for name in sim.client_names:
-            client = sim.directory[name]
             with pytest.raises(ProtocolError, match="no key pair"):
-                client.public_key()
-            assert not any(isinstance(v, DhKeyPair) for v in vars(client).values())
-            assert not client._peer_publics
-            assert sorted(client.schedule.keys) == [c for c in sim.client_names if c != name]
+                sim.secagg.agree(name)
+            keys = sim.secagg.schedules[name].keys
+            assert sorted(keys) == [c for c in sim.client_names if c != name]
         # the common keys alone still cancel the masks
         sim.run_round(1)
         clean = [sim.directory[c].clean_weights(1) for c in sim.client_names]
         expected = to_float(exact_mean(clean))
         for c in sim.client_names:
             assert np.array_equal(sim.directory[c].federated_weights, expected)
+
+    def test_offline_phase_runs_once(self):
+        sim = make_simulation(use_security=True)
+        sim.offline_phase()
+        with pytest.raises(ProtocolError, match="client_agent0 already advertised"):
+            sim.offline_phase()
+
+    def test_mask_refused_before_the_offline_phase(self):
+        # the refusal names the client and the iteration it was asked to mask
+        sim = make_simulation(use_security=True)
+        with pytest.raises(
+            ProtocolError, match="client_agent0 has no mask schedule for iteration 1"
+        ):
+            sim.run_round(1)
 
 
 class TestServerRound:
