@@ -6,9 +6,10 @@ numbered iterations.  With security on, the offline phase runs the setup
 of ``masking.SecureAggregation``: the engine delivers the ``public_key``
 bodies the protocol returns, n(n - 1) messages, and runs each client's
 steps as that client's at iteration 0; clients then mask through the
-protocol object.  Aggregation runs on the host, and a failure there, like
-a failure in an agent step, is a ``SimulationError`` naming the agents
-and the iteration.
+protocol object, which expands each pair's mask once per round.
+Aggregation and evaluation run on the host, and a failure there, like a
+failure in an agent step, is a ``SimulationError`` naming the agents and
+the iteration.
 All timing is simulated: every message carries a
 ``sim_time`` stamp computed from declared latencies and compute durations,
 never from the wall clock, and each iteration's clock restarts at zero.
@@ -16,10 +17,12 @@ Clients compute concurrently in simulated time.  ``Simulation.run_round``
 drives one list of phases over the active clients in name order: open and
 train (clients with one row count train in lock step in one stacked
 kernel call, equal to training each alone), send (noise, masks),
-aggregate and accept.  The topologies differ only in who aggregates and
-on which edges the bodies travel; the host forms a serverless round's
-mean once, as every client averages the same bodies, and without noise
-subtraction rounds and evaluates the shared model once.  Agents keep only
+aggregate, accept and evaluate (every local and federated model of the
+round in one stacked call of ``evaluate``, equal to evaluating each
+alone).  The topologies differ only in who aggregates and on which edges
+the bodies travel; the host forms a serverless round's mean once, as
+every client averages the same bodies, and without noise subtraction
+rounds and evaluates the shared model once.  Agents keep only
 state that lives across rounds and raise ``ProtocolError`` on a phase out
 of order.  Each client owns its random streams and sends int64 integers
 on the grid 2^-32, refusing any outside ``grid_bound`` (see ``exact``);
@@ -45,6 +48,7 @@ kind                 body keys
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -70,8 +74,7 @@ from .models import (
 
 SERVER_NAME = "server_agent0"
 Sent = tuple[dict[str, Any], float]  # a body and the time its sender has it
-Accepted = tuple[EvalReport, float, bool]  # evaluation, receipt time, converged
-Shared = tuple[np.ndarray, float]  # the round's model rounded once, and its accuracy
+Accepted = tuple[float, bool]  # receipt time, converged
 
 
 class SimulationError(RuntimeError):
@@ -189,19 +192,17 @@ class ClientAgent:
         index: int,
         config,
         datasets: list[Dataset],
-        test_set: Dataset,
         n_classes: int,
+        n_features: int,
         size_schedule: Mapping[str, list[int]],
         secagg: SecureAggregation | None,
     ):
         self.name = name
         self.config = config
         self.datasets = datasets
-        self.test_set = test_set
         self.size_schedule = size_schedule
         self.secagg = secagg
 
-        n_features = test_set.features.shape[1]
         self.active = True
         self.active_view: list[str] = sorted(config.client_names())
         self.federated_weights = zero_weights(n_classes, n_features)
@@ -281,29 +282,25 @@ class ClientAgent:
         body, duration = self._perturb_and_mask(env.iteration, trained, seconds)
         return body, env.sim_time + duration
 
-    def receive_weights(self, env: Envelope, shared: Shared | None = None) -> Accepted:
-        """Accept the federated model; evaluate and report convergence."""
+    def receive_weights(self, env: Envelope, shared: np.ndarray | None = None) -> Accepted:
+        """Accept the federated model and report convergence."""
         return self._accept(env.iteration, env.body["weights"], env.sim_time, shared)
 
     def _accept(
-        self, iteration: int, fed: Any, receipt: float, shared: Shared | None
+        self, iteration: int, fed: Any, receipt: float, shared: np.ndarray | None
     ) -> Accepted:
         """Take the federated model ``fed``, less our noise share with
-        ``subtract_dp_noise``, else as ``shared`` (the model rounded and its
-        accuracy) when given; return the evaluation, the receipt time and
-        whether we converged."""
+        ``subtract_dp_noise``, else as ``shared`` (the model rounded) when
+        given; return the receipt time and whether we converged.  The
+        simulation evaluates the models afterwards."""
         noise = self._records.pop(iteration, None)
         if noise is None:
             raise ProtocolError(f"{self.name} never sent the iteration-{iteration} round")
         if self.config.subtract_dp_noise:
             fed, shared = subtract_own_noise(fed, noise, len(self.active_view)), None
-        if shared is None:
-            rounded = to_float(fed)
-            shared = rounded, evaluate(rounded, self.test_set)
-        self.federated_weights, accuracy = shared
+        self.federated_weights = to_float(fed) if shared is None else shared
         local = self._clean[iteration]
-        report = EvalReport(iteration, evaluate(local, self.test_set), accuracy)
-        return report, receipt, converged(local, self.federated_weights, self.config.tolerance)
+        return receipt, converged(local, self.federated_weights, self.config.tolerance)
 
     def remove_active_clients(self, env: Envelope) -> None:
         """End-of-iteration dropout announcement: shrink the active view."""
@@ -327,7 +324,7 @@ class ClientAgent:
 
     def complete_peer_round(
         self, iteration: int, fed: GridMatrix, contributors: Sequence[str],
-        shared: Shared | None = None,
+        shared: np.ndarray | None = None,
     ) -> Accepted:
         """Take the round's mean of every active client's contribution,
         ours included, and run the receive path.
@@ -442,8 +439,8 @@ class Simulation:
         self.directory: dict[str, Any] = {}
         for i, name in enumerate(names):
             self.directory[name] = ClientAgent(
-                name, i, config, client_datasets[i], test_set, n_classes, size_schedule,
-                self.secagg,
+                name, i, config, client_datasets[i], n_classes, test_set.features.shape[1],
+                size_schedule, self.secagg,
             )
         self.server: ServerAgent | None = None
         if config.topology == "centralized":
@@ -556,21 +553,23 @@ class Simulation:
         trained = self._train_cohorts(iteration, active)
 
         sent, replies = {}, {}
-        for c in active:
-            if server is None:
-                broadcast = self.directory[c].broadcast_weights
-                body, ready = self._invoke(c, iteration, broadcast, iteration, *trained[c])
-                for peer in active:
-                    if peer != c:
-                        self._send(c, peer, iteration, body, ready, "receive_peer_weights")
-            else:
-                request = {"kind": "weights_request"}
-                body, ready = self._send(
-                    SERVER_NAME, c, iteration, request, 0.0, "produce_weights", *trained[c]
-                )
-                # the reply is held for the server
-                replies[c] = self._send(c, SERVER_NAME, iteration, body, ready)
-            sent[c] = body["weights"]
+        secagg = self.secagg
+        with contextlib.nullcontext() if secagg is None else secagg.round(iteration):
+            for c in active:
+                if server is None:
+                    broadcast = self.directory[c].broadcast_weights
+                    body, ready = self._invoke(c, iteration, broadcast, iteration, *trained[c])
+                    for peer in active:
+                        if peer != c:
+                            self._send(c, peer, iteration, body, ready, "receive_peer_weights")
+                else:
+                    request = {"kind": "weights_request"}
+                    body, ready = self._send(
+                        SERVER_NAME, c, iteration, request, 0.0, "produce_weights", *trained[c]
+                    )
+                    # the reply is held for the server
+                    replies[c] = self._send(c, SERVER_NAME, iteration, body, ready)
+                sent[c] = body["weights"]
 
         # the host aggregates for the server, or serverless for every active client
         aggregator = active if server is None else SERVER_NAME
@@ -586,16 +585,12 @@ class Simulation:
             server_dur = _charged(cfg.server_compute_s, started)
             ready = max(env.sim_time for env in replies.values()) + server_dur
 
-        # without noise subtraction every client takes the same model: round
-        # and evaluate it once
+        # without noise subtraction every client takes the same model: round it once
         shared = None
         if not cfg.subtract_dp_noise:
-            rounded = self._invoke(aggregator, iteration, to_float, fed)
-            shared = rounded, self._invoke(
-                aggregator, iteration, evaluate, rounded, self.test_set
-            )
+            shared = self._invoke(aggregator, iteration, to_float, fed)
         body = {"kind": "federated_weights", "weights": fed}
-        evals, receipts, flags = {}, {}, {}
+        receipts, flags = {}, {}
         for c in active:
             if server is None:
                 complete = self.directory[c].complete_peer_round
@@ -604,7 +599,8 @@ class Simulation:
                 accepted = self._send(
                     SERVER_NAME, c, iteration, body, ready, "receive_weights", shared
                 )
-            evals[c], receipts[c], flags[c] = accepted
+            receipts[c], flags[c] = accepted
+        evals = self._evaluate(iteration, active, shared)
 
         dropouts = sorted(c for c in active if flags[c]) if cfg.client_dropout else []
         survivors = [c for c in active if c not in dropouts]
@@ -623,6 +619,25 @@ class Simulation:
         self.active = survivors
         compute = {c: self.directory[c].compute_duration(iteration) for c in active}
         return IterationReport(iteration, evals, receipts, compute, dropouts)
+
+    def _evaluate(
+        self, iteration: int, active: list[str], shared: np.ndarray | None
+    ) -> dict[str, EvalReport]:
+        """Each active client's accuracies on the test set: its local model's
+        and its federated model's, or the ``shared`` model's when every
+        client took that one.  All the models are one stack, scored in one
+        call of ``evaluate``."""
+        models = [self.directory[c].clean_weights(iteration) for c in active]
+        if shared is None:
+            models += [self.directory[c].federated_weights for c in active]
+        else:
+            models.append(shared)
+        accuracy = self._invoke(active, iteration, evaluate, np.stack(models), self.test_set)
+        n = len(active)
+        return {
+            c: EvalReport(iteration, accuracy[i], accuracy[n if shared is not None else n + i])
+            for i, c in enumerate(active)
+        }
 
     def _train_cohorts(self, iteration: int, active: list[str]) -> dict[str, tuple]:
         """Open and train the round of every active client; return each

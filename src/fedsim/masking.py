@@ -46,14 +46,26 @@ and subtracts the one toward each peer that sorts before it.  The masks
 cancel from any sum of the bodies bit for bit, and with one honest peer a
 masked body is uniform in Z_2^64 whatever it carries: hiding holds for any
 weights on the grid.
+
+Both ends of a pair would expand the same stream, so within a round the
+host expands each pair's mask once (``RoundMasks``): the end that masks
+first adds it into its own body and, with the other end's sign, into that
+end's pending sum, which the other end adds into its body when it masks.
+A round expands n(n - 1)/2 masks instead of n(n - 1), each one the tensor
+its end would have expanded, and holds at most one d-element pending sum
+per client, O(n d) words, all dropped when the round ends.  The two ends
+of every pair must agree that the pair is active: a round in which one
+end masks toward the other but not the other way round would leave a mask
+uncancelled in the aggregate, and is refused.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -236,11 +248,36 @@ def mask_tensor(key: CommonKey, iteration: int, shape: tuple[int, ...]) -> np.nd
     return np.frombuffer(stream, dtype=">u8").astype(np.uint64).reshape(shape)
 
 
+class RoundMasks:
+    """One iteration's masks between their expansion and their use.
+
+    ``pending`` holds, for each client yet to mask, the signed sum of the
+    masks that peers which masked earlier expanded toward it, and ``views``
+    the peers each client that has masked masked toward.
+    """
+
+    def __init__(self, iteration: int):
+        self.iteration = iteration
+        self.pending: dict[str, np.ndarray] = {}
+        self.views: dict[str, frozenset[str]] = {}
+
+    def settle(self) -> None:
+        """Refuse a mask expanded toward a client that masked no body."""
+        if self.pending:
+            recipient = min(self.pending)
+            sender = min(c for c, view in self.views.items() if recipient in view)
+            raise ProtocolError(
+                f"iteration {self.iteration}: {sender} masks toward {recipient}, "
+                f"which masked no body"
+            )
+
+
 def apply_masks(
     w: np.ndarray | GridMatrix,
     schedule: MaskSchedule,
     active: list[str],
     iteration: int,
+    masks: RoundMasks | None = None,
 ) -> GridMatrix:
     """Add the owner's signed pairwise masks for the current active set.
 
@@ -250,22 +287,54 @@ def apply_masks(
     each mask appears once with each sign across the active set and
     cancels from the sum; departed clients leave no residue.  Returns the
     masked words read as int64, a body of count 1.
+
+    ``masks`` is the round's store (see ``RoundMasks``); without one the
+    call is a round of its own.  The mask toward a peer that masked earlier
+    in the round is already in the owner's pending sum; the mask toward a
+    peer yet to mask is expanded here, once, and added into that peer's
+    pending sum.  Raises ProtocolError when the owner's active view and
+    that of a client that masked earlier disagree on whether the two mask
+    toward each other.
     """
-    if schedule.owner not in active:
-        raise ValueError(f"schedule owner {schedule.owner!r} not in the active set")
+    owner = schedule.owner
+    if owner not in active:
+        raise ValueError(f"schedule owner {owner!r} not in the active set")
     body = to_exact(w)
     if body.count != 1:
         raise ValueError(f"only a body of count 1 is masked, not count {body.count}")
-    peers = [peer for peer in active if peer != schedule.owner]
+    masks = RoundMasks(iteration) if masks is None else masks
+    if masks.iteration != iteration:
+        raise ValueError(
+            f"iteration-{iteration} body masked in the iteration-{masks.iteration} round"
+        )
+    if owner in masks.views:
+        raise ProtocolError(f"{owner} already masked iteration {iteration}")
+    peers = frozenset(active) - {owner}
+    for other, view in masks.views.items():
+        if (owner in view) != (other in peers):
+            sender, lacking = (other, owner) if owner in view else (owner, other)
+            raise ProtocolError(
+                f"iteration {iteration}: {sender} masks toward {lacking}, "
+                f"but the active view of {lacking} lacks {sender}"
+            )
+    masks.views[owner] = peers
+    taken = masks.pending.pop(owner, None)
     if not peers:
         return body
     words = body.total.view(np.uint64).copy()
-    for peer in peers:
+    for peer in sorted(peers.difference(masks.views)):
         mask = mask_tensor(schedule.key_for(peer), iteration, words.shape)
-        if schedule.owner < peer:
+        pending = masks.pending.get(peer)
+        if pending is None:
+            pending = masks.pending[peer] = np.zeros_like(words)
+        if owner < peer:
             words += mask
+            pending -= mask
         else:
             words -= mask
+            pending += mask
+    if taken is not None:
+        words += taken
     return GridMatrix(words.view(np.int64))
 
 
@@ -276,7 +345,9 @@ class SecureAggregation:
     every delivered ``public_key`` envelope to ``receive``, and each client
     ``agree``s, in name order; ``schedules`` then holds its mask schedule.
     A client's key pair is drawn, in ``advertise``, from the third child
-    stream of its seed (the client spawns the first two).
+    stream of its seed (the client spawns the first two).  Online, the
+    bodies of one iteration are masked inside ``round``, which expands
+    each pair's mask once.
     """
 
     def __init__(self, seeds: Mapping[str, int]):
@@ -287,6 +358,7 @@ class SecureAggregation:
         self._handed: dict[str, dict[str, CommonKey]] = {name: {} for name in self.names}
         self._tables: dict[int, tuple[int, ...]] = {}
         self.schedules: dict[str, MaskSchedule] = {}
+        self._round: RoundMasks | None = None
 
     def advertise(self, client: str) -> tuple[dict[str, Any], list[str]]:
         """Generate ``client``'s key pair; return its ``public_key`` body,
@@ -342,10 +414,28 @@ class SecureAggregation:
         if not self._keypairs:
             self._tables = {}
 
+    @contextlib.contextmanager
+    def round(self, iteration: int) -> Iterator[None]:
+        """Mask ``iteration``'s bodies inside the block in one ``RoundMasks``.
+
+        A normal exit refuses a mask that some client expanded toward a
+        client that masked no body.  Every exit drops the round's masks,
+        which a failure's traceback would otherwise keep alive.
+        """
+        masks = self._round = RoundMasks(iteration)
+        try:
+            yield
+            masks.settle()
+        finally:
+            self._round = None
+            masks.pending.clear()
+            masks.views.clear()
+
     def mask(self, client: str, body: GridMatrix, view: list[str], iteration: int) -> GridMatrix:
         """``client``'s body with its signed pairwise masks toward the other
-        clients of its active ``view`` (see ``apply_masks``)."""
+        clients of its active ``view`` (see ``apply_masks``), in the open
+        ``round``, if any."""
         schedule = self.schedules.get(client)
         if schedule is None:
             raise ProtocolError(f"{client} has no mask schedule for iteration {iteration}")
-        return apply_masks(body, schedule, view, iteration)
+        return apply_masks(body, schedule, view, iteration, self._round)

@@ -9,7 +9,7 @@ all operations are pure given their random stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -20,10 +20,15 @@ from .exact import GridMatrix, to_exact, to_float
 
 @dataclass
 class Dataset:
-    """Feature matrix (N x F) and integer labels (N,)."""
+    """Feature matrix (N x F) and integer labels (N,).
+
+    The arrays are not written after construction: ``augmented`` holds a
+    copy of the features built at its first call.
+    """
 
     features: np.ndarray
     labels: np.ndarray
+    _augmented: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -44,6 +49,14 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    def augmented(self) -> np.ndarray:
+        """The features with a bias column of ones, N x (F+1), built at the
+        first call and held, read-only, for the later ones."""
+        if self._augmented is None:
+            self._augmented = _augment(self.features)
+            self._augmented.setflags(write=False)
+        return self._augmented
 
 
 @dataclass(frozen=True)
@@ -296,18 +309,28 @@ def subtract_own_noise(
     return to_exact(federated) - noise / active_count
 
 
-def evaluate(w: np.ndarray | GridMatrix, test: Dataset) -> float:
+def evaluate(w: np.ndarray | GridMatrix, test: Dataset) -> float | list[float]:
     """Fraction of test rows whose argmax class score matches the label.
 
-    Ties break toward the lowest class index.
+    ``w`` is one weight matrix, whose accuracy is returned, or a stack of k
+    of them, a (k, C, F+1) array, whose k accuracies are returned as a
+    list in stack order.  A stack is scored by one ``np.matmul`` against
+    the test set's ``augmented`` features, which runs for each model the
+    gemm that model alone would run, so every accuracy equals that of its
+    model evaluated alone bit for bit.  Ties break toward the lowest class
+    index.
     """
     if len(test) == 0:
         raise ValueError("cannot evaluate on an empty test set")
     w = to_float(w)
-    _check_shapes(test, w)
-    scores = _augment(test.features) @ w.T
-    predictions = np.argmax(scores, axis=1)
-    return float(np.mean(predictions == test.labels))
+    if w.ndim not in (2, 3) or 0 in w.shape[:-2]:
+        raise ValueError(f"weights must be a matrix or a nonempty stack, got shape {w.shape}")
+    stack = w if w.ndim == 3 else w[None]
+    _check_shapes(test, stack[0])
+    scores = np.matmul(test.augmented(), stack.transpose(0, 2, 1))
+    hits = np.count_nonzero(np.argmax(scores, axis=2) == test.labels, axis=1)
+    accuracy = (hits / len(test)).tolist()
+    return accuracy if w.ndim == 3 else accuracy[0]
 
 
 class ClientRound(NamedTuple):

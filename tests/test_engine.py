@@ -9,6 +9,7 @@ import pytest
 
 import fedsim.engine as engine_module
 import fedsim.masking as masking_module
+import fedsim.models as models_module
 from conftest import (
     base_config_dict,
     make_simulation,
@@ -818,7 +819,8 @@ class TestRoundedMean:
 
 class TestSharedEvaluation:
     """Without noise subtraction every client takes the same model and test
-    set, so the round evaluates it once; with it, each client its own."""
+    set, so the round evaluates it once; with it, each client its own.  All
+    of a round's models are one stack, evaluated in one call."""
 
     @pytest.mark.parametrize("topology", ["centralized", "serverless"])
     @pytest.mark.parametrize("subtract", [False, True])
@@ -835,20 +837,36 @@ class TestSharedEvaluation:
         plain.offline_phase()
         expected = [plain.run_round(i) for i in (1, 2)]
         sim = make_simulation(**kwargs)
-        calls = []
+        models = []
 
         def spy(w, test):
-            calls.append(w)
+            models.append(len(w) if np.ndim(w) == 3 else 1)
             return evaluate(w, test)
 
         monkeypatch.setattr(engine_module, "evaluate", spy)
         sim.offline_phase()
         for iteration in (1, 2):
-            calls.clear()
+            models.clear()
             report = sim.run_round(iteration)
             active = len(sim.client_names)
-            assert len(calls) == (2 * active if subtract else active + 1)
+            assert models == [2 * active if subtract else active + 1]
             assert report == expected[iteration - 1]
+
+    def test_test_set_augmented_once_at_first_use(self, monkeypatch):
+        augmented = []
+        augment = models_module._augment
+
+        def spy(features):
+            augmented.append(features)
+            return augment(features)
+
+        monkeypatch.setattr(models_module, "_augment", spy)
+        sim = make_simulation()
+        sim.offline_phase()
+        assert augmented == []
+        for iteration in (1, 2, 3):
+            sim.run_round(iteration)
+        assert len(augmented) == 1 and augmented[0] is sim.test_set.features
 
 
 class TestAggregateFailure:

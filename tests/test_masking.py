@@ -1,7 +1,9 @@
 """Tests for key agreement and cancelling mask schedules."""
 
+import gc
 import hashlib
 import math
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,9 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+import fedsim.masking as masking_module
+from conftest import make_simulation, make_skewed_dropout_simulation
 from fedsim.config import build_inputs, load_config
 from fedsim.dp import Calibration, perturb_weights
-from fedsim.engine import Simulation
+from fedsim.engine import Simulation, SimulationError
 from fedsim.exact import GRID_BITS, to_exact, to_float
 from fedsim.masking import (
     GROUP_GENERATOR,
@@ -24,6 +28,8 @@ from fedsim.masking import (
     CommonKey,
     DhKeyPair,
     MaskSchedule,
+    ProtocolError,
+    SecureAggregation,
     apply_masks,
     dh_common_key,
     dh_generate,
@@ -460,3 +466,208 @@ class TestHiding:
         # unmasked, the top byte of a fixed w is one value: the test has power
         unmasked = np.bincount((w.total.view(np.uint64) >> np.uint64(56)).ravel().astype(np.int64), minlength=256)
         assert stats.chisquare(np.tile(unmasked, 20)).pvalue < 1e-6
+
+
+def secure_simulation(n, **overrides):
+    """An n-client simulation with security on, before its offline phase."""
+    settings = dict(
+        use_security=True, num_clients=n, epsilons=[None] * n,
+        seeds=[11 * (i + 1) for i in range(n)], dataset_sizes=[[20, 20, 20]] * n,
+    )
+    return make_simulation(**{**settings, **overrides})
+
+
+def distributed_dp(n):
+    return dict(
+        use_dp_privacy=True, mechanism="distributed_laplace", dp_placement="distributed",
+        epsilons=[1.0] * n,
+    )
+
+
+def spy_expansions(monkeypatch):
+    """Record the pair and iteration of every mask expanded from now on."""
+    expanded = []
+    expand = masking_module.mask_tensor
+
+    def spy(key, iteration, shape):
+        expanded.append((key.pair, iteration))
+        return expand(key, iteration, shape)
+
+    monkeypatch.setattr(masking_module, "mask_tensor", spy)
+    return expanded
+
+
+class TestRoundMasks:
+    """Within a round the host expands each pair's mask once, and every
+    masked body is still the one its end would have made alone."""
+
+    @pytest.mark.parametrize("topology", ["centralized", "serverless"])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_each_pair_expanded_once_per_round(self, monkeypatch, n, topology):
+        sim = secure_simulation(n, topology=topology)
+        sim.offline_phase()
+        names = sim.client_names
+        expanded = spy_expansions(monkeypatch)
+        for iteration in (1, 2):
+            expanded.clear()
+            sim.run_round(iteration)
+            pairs = [(a, b) for a in names for b in names if a < b]
+            assert len(expanded) == n * (n - 1) // 2
+            assert sorted(expanded) == [(pair, iteration) for pair in pairs]
+
+    @pytest.mark.parametrize("topology", ["centralized", "serverless"])
+    def test_each_pair_expanded_once_after_a_dropout(self, monkeypatch, topology):
+        sim = make_skewed_dropout_simulation(topology, use_security=True)
+        sim.offline_phase()
+        assert sim.run_round(1).dropouts == ["client_agent2"]
+        expanded = spy_expansions(monkeypatch)
+        sim.run_round(2)
+        assert expanded == [(("client_agent0", "client_agent1"), 2)]
+
+    @pytest.mark.parametrize("topology", ["centralized", "serverless"])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_masked_bodies_equal_the_per_end_reference(self, monkeypatch, n, topology):
+        sim = secure_simulation(n, topology=topology, **distributed_dp(n))
+        sim.offline_phase()
+        seen = []
+        mask = SecureAggregation.mask
+
+        def spy(self, client, body, view, iteration):
+            masked = mask(self, client, body, view, iteration)
+            seen.append((client, body, list(view), iteration, masked))
+            return masked
+
+        monkeypatch.setattr(SecureAggregation, "mask", spy)
+        for iteration in (1, 2):
+            sim.run_round(iteration)
+        assert len(seen) == 2 * n
+        for client, body, view, iteration, masked in seen:
+            want = reference_apply_masks(body, sim.secagg.schedules[client], view, iteration)
+            assert [int(v) for v in masked.total.ravel()] == want
+
+    def test_masked_bodies_equal_the_per_end_reference_after_a_dropout(self, monkeypatch):
+        sim = make_skewed_dropout_simulation(use_security=True)
+        sim.offline_phase()
+        seen = []
+        mask = SecureAggregation.mask
+
+        def spy(self, client, body, view, iteration):
+            masked = mask(self, client, body, view, iteration)
+            seen.append((client, body, list(view), iteration, masked))
+            return masked
+
+        monkeypatch.setattr(SecureAggregation, "mask", spy)
+        sim.run_round(1)
+        sim.run_round(2)
+        assert [(c, len(view), it) for c, _, view, it, _ in seen] == [
+            ("client_agent0", 3, 1), ("client_agent1", 3, 1), ("client_agent2", 3, 1),
+            ("client_agent0", 2, 2), ("client_agent1", 2, 2),
+        ]
+        for client, body, view, iteration, masked in seen:
+            want = reference_apply_masks(body, sim.secagg.schedules[client], view, iteration)
+            assert [int(v) for v in masked.total.ravel()] == want
+
+    @staticmethod
+    def _track(monkeypatch):
+        """Weak references to every expanded mask and every pending sum, and
+        the round stores the masks went through."""
+        refs, stores = [], []
+        expand, apply = masking_module.mask_tensor, masking_module.apply_masks
+
+        def spy_expand(key, iteration, shape):
+            mask = expand(key, iteration, shape)
+            refs.append(weakref.ref(mask))
+            return mask
+
+        def spy_apply(w, schedule, active, iteration, masks=None):
+            stores.append(masks)
+            try:
+                return apply(w, schedule, active, iteration, masks)
+            finally:
+                refs.extend(weakref.ref(pending) for pending in masks.pending.values())
+
+        monkeypatch.setattr(masking_module, "mask_tensor", spy_expand)
+        monkeypatch.setattr(masking_module, "apply_masks", spy_apply)
+        return refs, stores
+
+    def test_no_mask_outlives_a_round(self, monkeypatch):
+        sim = secure_simulation(5)
+        sim.offline_phase()
+        refs, stores = self._track(monkeypatch)
+        sim.run_round(1)
+        gc.collect()
+        assert len(refs) == 10 + 4 + 3 + 2 + 1  # the masks, then the pending sums
+        assert all(ref() is None for ref in refs)
+        assert len(stores) == 5 and len({id(s) for s in stores}) == 1
+        assert stores[0].pending == {} and stores[0].views == {}
+        assert sim.secagg._round is None
+
+    def test_no_mask_outlives_a_failed_round(self, monkeypatch):
+        sim = secure_simulation(5)
+        sim.offline_phase()
+        refs, stores = self._track(monkeypatch)
+        expand, expanded = masking_module.mask_tensor, []
+
+        def fail_sixth(key, iteration, shape):
+            # client_agent0 expands 4 masks, client_agent1 fails on its second
+            expanded.append(key.pair)
+            if len(expanded) == 6:
+                raise RuntimeError("expansion failed")
+            return expand(key, iteration, shape)
+
+        monkeypatch.setattr(masking_module, "mask_tensor", fail_sixth)
+        with pytest.raises(SimulationError, match="client_agent1.*iteration 1: expansion failed"):
+            sim.run_round(1)
+        gc.collect()
+        # 5 masks, client_agent0's 4 pending sums, then the 3 left at the failure
+        assert len(refs) == 5 + 4 + 3
+        assert all(ref() is None for ref in refs)
+        assert stores[-1].pending == {} and stores[-1].views == {}
+        assert sim.secagg._round is None
+
+
+class TestDisagreeingViews:
+    """A round in which two clients disagree on whether they mask toward
+    each other would leave a mask uncancelled in the aggregate: refused."""
+
+    @pytest.mark.parametrize("topology", ["centralized", "serverless"])
+    @pytest.mark.parametrize("holder, dropped, message", [
+        ("client_agent0", "client_agent2",
+         "client_agent2 masks toward client_agent0, but the active view of "
+         "client_agent0 lacks client_agent2"),
+        ("client_agent2", "client_agent0",
+         "client_agent0 masks toward client_agent2, but the active view of "
+         "client_agent2 lacks client_agent0"),
+        ("client_agent1", "client_agent2",
+         "client_agent2 masks toward client_agent1, but the active view of "
+         "client_agent1 lacks client_agent2"),
+    ])
+    def test_peer_missing_from_one_view(self, topology, holder, dropped, message):
+        # before the round refused, client_agent0 dropping client_agent2 was
+        # accepted with federated |w| up to 7.1e8 and accuracy 0.3
+        sim = secure_simulation(3, topology=topology)
+        sim.offline_phase()
+        view = [c for c in sim.client_names if c != dropped]
+        sim.directory[holder].sync_active_view(view)
+        with pytest.raises(ProtocolError, match=f"iteration 1: {message}"):
+            sim.run_round(1)
+        assert sim.secagg._round is None
+
+    def test_mask_toward_a_client_outside_the_round(self):
+        # every view still holds client_agent2, which sends nothing
+        sim = secure_simulation(3)
+        sim.offline_phase()
+        sim.active = ["client_agent0", "client_agent1"]
+        with pytest.raises(
+            ProtocolError,
+            match="iteration 1: client_agent0 masks toward client_agent2, which masked no body",
+        ):
+            sim.run_round(1)
+        assert sim.secagg._round is None
+
+    def test_second_mask_in_one_round(self):
+        names = ["client_agent0", "client_agent1"]
+        masks = masking_module.RoundMasks(1)
+        apply_masks(np.zeros((2, 2)), _SCHEDULES_FOR_PROPERTY[names[0]], names, 1, masks)
+        with pytest.raises(ProtocolError, match="client_agent0 already masked iteration 1"):
+            apply_masks(np.zeros((2, 2)), _SCHEDULES_FOR_PROPERTY[names[0]], names, 1, masks)

@@ -431,6 +431,45 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(zero_weights(2, 2), Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
+    @pytest.mark.parametrize("shape", [(0, 3, 4), (3, 4, 5, 6), (4,)])
+    def test_weights_neither_a_matrix_nor_a_stack_rejected(self, shape):
+        data = Dataset(np.zeros((2, 3)), np.array([0, 1]))
+        with pytest.raises(ValueError, match="matrix or a nonempty stack"):
+            evaluate(np.zeros(shape), data)
+
+    def test_augmented_features_built_once_read_only(self):
+        data = Dataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 0]))
+        first = data.augmented()
+        assert first is data.augmented()
+        assert np.array_equal(first, [[0, 1, 1], [2, 3, 1], [4, 5, 1]])
+        assert not first.flags.writeable
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        classes=st.integers(2, 12),
+        rows=st.integers(1, 300),
+        models=st.integers(1, 12),
+        features=st.integers(1, 8),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_one_by_one(self, classes, rows, models, features, ties, seed):
+        rng = np.random.default_rng(seed)
+        test = Dataset(rng.standard_normal((rows, features)), rng.integers(0, classes, rows))
+        stack = rng.standard_normal((models, classes, features + 1))
+        if ties:  # the first two classes score alike; ties go to the lower one
+            stack[:, 1] = stack[:, 0]
+        x = models_module._augment(test.features)
+        scores = np.matmul(test.augmented(), stack.transpose(0, 2, 1))
+        accuracies = evaluate(stack, test)
+        assert len(accuracies) == models
+        for w, stacked, accuracy in zip(stack, scores, accuracies):
+            alone = x @ w.T
+            assert np.array_equal(stacked.view(np.int64), alone.view(np.int64))
+            want = float(np.mean(np.argmax(alone, axis=1) == test.labels))
+            assert type(accuracy) is float
+            assert accuracy == evaluate(w, test) == want
+
 
 class TestClientRoundIncremental:
     def setup_method(self):
