@@ -251,9 +251,10 @@ def mask_tensor(key: CommonKey, iteration: int, shape: tuple[int, ...]) -> np.nd
 class RoundMasks:
     """One iteration's masks between their expansion and their use.
 
-    ``pending`` holds, for each client yet to mask, the signed sum of the
-    masks that peers which masked earlier expanded toward it, and ``views``
-    the peers each client that has masked masked toward.
+    The end of a pair that masks first expands the pair's mask, adds it
+    into its own body and, with the other end's sign, into the other end's
+    ``pending`` sum, which that end adds into its body when it masks.
+    ``views`` holds the peers each client that has masked masked toward.
     """
 
     def __init__(self, iteration: int):
@@ -289,12 +290,9 @@ def apply_masks(
     masked words read as int64, a body of count 1.
 
     ``masks`` is the round's store (see ``RoundMasks``); without one the
-    call is a round of its own.  The mask toward a peer that masked earlier
-    in the round is already in the owner's pending sum; the mask toward a
-    peer yet to mask is expanded here, once, and added into that peer's
-    pending sum.  Raises ProtocolError when the owner's active view and
-    that of a client that masked earlier disagree on whether the two mask
-    toward each other.
+    call is a round of its own.  Raises ProtocolError when the owner and a
+    client that masked earlier in the round disagree on whether the two
+    mask toward each other.
     """
     owner = schedule.owner
     if owner not in active:

@@ -470,11 +470,11 @@ class TestHiding:
 
 def secure_simulation(n, **overrides):
     """An n-client simulation with security on, before its offline phase."""
-    settings = dict(
+    base = dict(
         use_security=True, num_clients=n, epsilons=[None] * n,
         seeds=[11 * (i + 1) for i in range(n)], dataset_sizes=[[20, 20, 20]] * n,
     )
-    return make_simulation(**{**settings, **overrides})
+    return make_simulation(**{**base, **overrides})
 
 
 def distributed_dp(n):
@@ -495,6 +495,28 @@ def spy_expansions(monkeypatch):
 
     monkeypatch.setattr(masking_module, "mask_tensor", spy)
     return expanded
+
+
+def spy_masked_bodies(monkeypatch):
+    """Record the client, body, view, iteration and result of every mask
+    the protocol applies from now on."""
+    seen = []
+    mask = SecureAggregation.mask
+
+    def spy(self, client, body, view, iteration):
+        masked = mask(self, client, body, view, iteration)
+        seen.append((client, body, list(view), iteration, masked))
+        return masked
+
+    monkeypatch.setattr(SecureAggregation, "mask", spy)
+    return seen
+
+
+def assert_per_end(sim, seen):
+    """Each masked body equals the one its end makes expanding its own masks."""
+    for client, body, view, iteration, masked in seen:
+        want = reference_apply_masks(body, sim.secagg.schedules[client], view, iteration)
+        assert [int(v) for v in masked.total.ravel()] == want
 
 
 class TestRoundMasks:
@@ -529,43 +551,23 @@ class TestRoundMasks:
     def test_masked_bodies_equal_the_per_end_reference(self, monkeypatch, n, topology):
         sim = secure_simulation(n, topology=topology, **distributed_dp(n))
         sim.offline_phase()
-        seen = []
-        mask = SecureAggregation.mask
-
-        def spy(self, client, body, view, iteration):
-            masked = mask(self, client, body, view, iteration)
-            seen.append((client, body, list(view), iteration, masked))
-            return masked
-
-        monkeypatch.setattr(SecureAggregation, "mask", spy)
+        seen = spy_masked_bodies(monkeypatch)
         for iteration in (1, 2):
             sim.run_round(iteration)
         assert len(seen) == 2 * n
-        for client, body, view, iteration, masked in seen:
-            want = reference_apply_masks(body, sim.secagg.schedules[client], view, iteration)
-            assert [int(v) for v in masked.total.ravel()] == want
+        assert_per_end(sim, seen)
 
     def test_masked_bodies_equal_the_per_end_reference_after_a_dropout(self, monkeypatch):
         sim = make_skewed_dropout_simulation(use_security=True)
         sim.offline_phase()
-        seen = []
-        mask = SecureAggregation.mask
-
-        def spy(self, client, body, view, iteration):
-            masked = mask(self, client, body, view, iteration)
-            seen.append((client, body, list(view), iteration, masked))
-            return masked
-
-        monkeypatch.setattr(SecureAggregation, "mask", spy)
+        seen = spy_masked_bodies(monkeypatch)
         sim.run_round(1)
         sim.run_round(2)
         assert [(c, len(view), it) for c, _, view, it, _ in seen] == [
             ("client_agent0", 3, 1), ("client_agent1", 3, 1), ("client_agent2", 3, 1),
             ("client_agent0", 2, 2), ("client_agent1", 2, 2),
         ]
-        for client, body, view, iteration, masked in seen:
-            want = reference_apply_masks(body, sim.secagg.schedules[client], view, iteration)
-            assert [int(v) for v in masked.total.ravel()] == want
+        assert_per_end(sim, seen)
 
     @staticmethod
     def _track(monkeypatch):
