@@ -862,11 +862,13 @@ class TestSharedEvaluation:
 
         monkeypatch.setattr(models_module, "_augment", spy)
         sim = make_simulation()
+        features = sim.test_set.features
         sim.offline_phase()
         assert augmented == []
         for iteration in (1, 2, 3):
             sim.run_round(iteration)
-        assert len(augmented) == 1 and augmented[0] is sim.test_set.features
+        assert len(augmented) == 1 and augmented[0] is features
+        assert sim.test_set.features.base is sim.test_set.augmented()
 
 
 class TestAggregateFailure:

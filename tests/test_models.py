@@ -443,6 +443,10 @@ class TestEvaluate:
         assert first is data.augmented()
         assert np.array_equal(first, [[0, 1, 1], [2, 3, 1], [4, 5, 1]])
         assert not first.flags.writeable
+        # the features are now the leading columns of the one held copy
+        assert data.features.base is first
+        assert np.array_equal(data.features, [[0, 1], [2, 3], [4, 5]])
+        assert not data.features.flags.writeable
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
